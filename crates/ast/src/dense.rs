@@ -39,7 +39,7 @@
 //! generation it was last written in. [`NodeMap::clear`] is therefore an
 //! O(1) stamp bump — no page walk — which matters for the epoch
 //! structures (delta buffers, staging maps) that clear once per epoch,
-//! and for forest deployments where per-tree structures clear whenever
+//! and for fleet deployments where per-tree structures clear whenever
 //! their shard's epoch turns over. A stale page (stamp ≠ current
 //! generation) reads as empty and is lazily wiped on its first write, so
 //! the cost of the old `clear` walk is only ever paid for pages actually

@@ -11,10 +11,6 @@
 //! navigates the very same tree the compiler owns — no shadow copies.
 //!
 //! The crate also provides:
-//! - [`forest`] — a sharded [`Forest`] of independent arenas for
-//!   multi-tree deployments (one [`TreeId`]-tagged shard per concurrent
-//!   plan; each shard is its own compact id space, so dense pages
-//!   partition trivially across shards),
 //! - [`dense`] — the dense node-indexed storage layer ([`NodeMap`],
 //!   [`NodeBitSet`], [`NodeLabelMap`]): page-backed direct-indexed maps
 //!   that every maintenance-hot-path structure (views, posting lists,
@@ -28,7 +24,6 @@
 
 pub mod arena;
 pub mod dense;
-pub mod forest;
 pub mod fxhash;
 pub mod multiset;
 pub mod schema;
@@ -37,7 +32,6 @@ pub mod value;
 
 pub use arena::{Ast, Node, NodeId, NodeRow};
 pub use dense::{NodeBitSet, NodeLabelMap, NodeMap};
-pub use forest::{Forest, GlobalNodeId, TreeId};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use multiset::GenMultiset;
 pub use schema::{AttrName, Label, Schema, SchemaBuilder};

@@ -3,8 +3,8 @@
 //! Sweeps the figure-12/13 workloads across all five strategies and a
 //! configurable batch-size axis — plus the multi-tree fleet workloads
 //! G/H/I across a tree-count axis, plus the threaded **scheduler cells**
-//! (dedicated workers vs a work-stealing pool on the skewed workload I,
-//! swept across a worker-count axis) — writing `BENCH_treetoaster.json`
+//! (one worker per shard vs smaller work-stealing pools on the skewed
+//! workload I, swept across a worker-count axis) — writing `BENCH_treetoaster.json`
 //! (see [`tt_bench::report`] for the schema). `--quick` runs the CI
 //! scale; without it the `TT_*` environment knobs (or explicit flags)
 //! set the scale.
@@ -23,11 +23,11 @@
 //!
 //! `--fleet-trees ""` (empty) skips the fleet sweep entirely;
 //! `--steal-trees ""` skips the threaded scheduler cells. For each
-//! `--steal-trees` shard count `T` the runner emits one dedicated cell
-//! (`T` pinned workers — PR 4's deployment) and one stealing cell per
+//! `--steal-trees` shard count `T` the runner emits one baseline pool
+//! of `T` workers (one per shard) and one pool per other
 //! `--steal-workers` size, all on workload I with the TT strategy (the
 //! axis under test is the *scheduler*, not the strategy); validation
-//! gates the best sub-shard-count pool against the dedicated baseline.
+//! gates the best sub-shard-count pool against the `T`-worker baseline.
 //!
 //! `--commit-workloads GI` sweeps the commit-pipeline cells: per
 //! workload, one `commit: "sync"` and one `commit: "async"` twin
@@ -161,7 +161,7 @@ fn parse_args() -> Args {
                     .collect();
                 if args.steal_trees.iter().any(|&t| t < 2) {
                     // One shard cannot exhibit stealing (the pool would
-                    // just be a dedicated worker).
+                    // just be one worker per shard).
                     usage();
                 }
             }
@@ -233,9 +233,8 @@ fn parse_args() -> Args {
 }
 
 /// One cell of the sweep: trees == 1 with a single-tree workload runs
-/// the classic driver, fleet workloads run the forest driver, pool
-/// cells run the threaded deployments (`pool: Some(None)` = dedicated
-/// workers, `Some(Some(w))` = a stealing pool of `w` threads), commit
+/// the classic driver, fleet workloads run the inline fleet driver, pool
+/// cells run a threaded pool of `pool: Some(w)` workers, commit
 /// cells run the mid-backlog pipeline driver (`commit: Some(async?)`),
 /// and rule-scale cells run the generic-mode matcher comparison
 /// (`rule_scale: Some((R, compiled?))`).
@@ -245,7 +244,7 @@ struct CellSpec {
     strategy: StrategyKind,
     batch_size: usize,
     trees: Option<usize>,
-    pool: Option<Option<usize>>,
+    pool: Option<usize>,
     commit: Option<bool>,
     service: Option<usize>,
     rule_scale: Option<(usize, bool)>,
@@ -358,13 +357,14 @@ fn main() -> ExitCode {
             }
         }
     }
-    // Threaded scheduler cells: dedicated baseline + each pool size, on
-    // the skewed workload I with the TT strategy (the axis under test
-    // is the scheduler; the strategy axis is covered above).
+    // Threaded scheduler cells: the one-worker-per-shard baseline + each
+    // smaller pool size, on the skewed workload I with the TT strategy
+    // (the axis under test is the scheduler; the strategy axis is
+    // covered above).
     for &trees in &sweep.steal_trees {
-        let mut deployments: Vec<Option<usize>> = vec![None];
-        deployments.extend(sweep.steal_workers.iter().map(|&w| Some(w)));
-        for pool in deployments {
+        let mut pools: Vec<usize> = vec![trees];
+        pools.extend(sweep.steal_workers.iter().filter(|&&w| w != trees));
+        for pool in pools {
             specs.push(CellSpec {
                 workload: 'I',
                 strategy: StrategyKind::TreeToaster,

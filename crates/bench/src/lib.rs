@@ -27,9 +27,10 @@ use std::sync::Arc;
 
 use treetoaster_core::engine::MaintenanceMode;
 use treetoaster_core::TreeToasterEngine;
-use tt_ast::{Record, TreeId};
+use tt_ast::Record;
 use tt_jitd::{
-    jitd_schema, scaled_rules, Jitd, JitdFleet, JitdIndex, JitdStats, RuleConfig, StrategyKind,
+    jitd_schema, paper_rules, scaled_rules, AsyncJitd, CommitMode, Jitd, JitdIndex, JitdStats,
+    RuleConfig, StealConfig, StrategyKind,
 };
 use tt_metrics::{bytes_to_pages, now_ns, statm_resident_pages, Summary, SummaryBuilder};
 use tt_ycsb::{FleetSpec, FleetWorkload, Workload, WorkloadSpec};
@@ -217,14 +218,14 @@ pub struct BatchRunResult {
     /// Strategy memory after the final commit.
     pub final_strategy_bytes: usize,
     /// Which reorganization deployment produced this cell: `"sync"`
-    /// (the measured loop reorganizes inline — every A–F/G/H cell),
-    /// `"dedicated"` (one background worker per shard), or `"steal"`
-    /// (a work-stealing pool draining the shared queue).
+    /// (the measured loop reorganizes inline — every A–F/G/H cell) or
+    /// `"steal"` (a pool of background workers draining the fleet's
+    /// work queue).
     pub scheduler: &'static str,
     /// Background worker threads (0 for `"sync"` cells).
     pub workers: usize,
-    /// Scheduler queue-jumps / non-home drains (see
-    /// [`tt_jitd::JitdStats::steal_count`]).
+    /// Work items drained by a non-home pool worker (see
+    /// [`tt_jitd::StealStats::steal_count`]).
     pub steal_count: u64,
     /// Failed try-lock claims that requeued the work item.
     pub contended_count: u64,
@@ -527,12 +528,116 @@ pub fn run_rule_scale(
     }
 }
 
+/// A fleet of `trees` runtimes over one shared paper rule set, shard `t`
+/// preloaded with `records_per_tree` records salted by `t`.
+fn build_fleet(
+    strategy: StrategyKind,
+    cfg: &ExperimentConfig,
+    trees: usize,
+    records_per_tree: u64,
+    steal: StealConfig,
+    commit: CommitMode,
+) -> AsyncJitd {
+    let rules = Arc::new(paper_rules(
+        &jitd_schema(),
+        RuleConfig {
+            crack_threshold: cfg.crack_threshold,
+        },
+    ));
+    let shards = (0..trees)
+        .map(|t| {
+            let part = (0..records_per_tree as i64)
+                .map(|k| Record::new(k, k.wrapping_mul(7) ^ t as i64))
+                .collect();
+            Jitd::with_rules_matcher(strategy, rules.clone(), part, cfg.compiled_match)
+        })
+        .collect();
+    AsyncJitd::spawn(shards, steal, commit)
+}
+
+/// Per-shard counters at the start of a fleet cell's measured loop.
+struct FleetMark {
+    steps: u64,
+    matches: Vec<Vec<u64>>,
+    rewrites: Vec<Vec<u64>>,
+}
+
+impl FleetMark {
+    fn take(fleet: &AsyncJitd) -> FleetMark {
+        let mut mark = FleetMark {
+            steps: 0,
+            matches: Vec::new(),
+            rewrites: Vec::new(),
+        };
+        for shard in 0..fleet.shard_count() {
+            fleet.with_shard(shard, |j| {
+                mark.steps += j.stats.steps;
+                mark.matches.push(j.stats.rule_matches.clone());
+                mark.rewrites.push(j.stats.rule_rewrites.clone());
+            });
+        }
+        mark
+    }
+}
+
+/// What a stopped fleet did: measured-loop deltas since `mark`, plus
+/// maintenance and commit means pooled over every shard's samples.
+struct FleetTally {
+    rewrites: u64,
+    rule_matches: Vec<u64>,
+    rule_rewrites: Vec<u64>,
+    maintain_mean_ns: f64,
+    commit_mean_ns: f64,
+}
+
+impl FleetTally {
+    fn of(runtimes: &[Jitd], mark: &FleetMark) -> FleetTally {
+        let rules = runtimes.first().map_or(0, |j| j.rules().len());
+        let mut rule_matches = vec![0u64; rules];
+        let mut rule_rewrites = vec![0u64; rules];
+        let mut maintenance = SummaryBuilder::new();
+        let mut commit = SummaryBuilder::new();
+        for (shard, jitd) in runtimes.iter().enumerate() {
+            let matches = counter_delta(&jitd.stats.rule_matches, &mark.matches[shard]);
+            let rewrites = counter_delta(&jitd.stats.rule_rewrites, &mark.rewrites[shard]);
+            for (acc, d) in rule_matches.iter_mut().zip(matches) {
+                *acc += d;
+            }
+            for (acc, d) in rule_rewrites.iter_mut().zip(rewrites) {
+                *acc += d;
+            }
+            for s in jitd.stats.all_maintenance_samples().samples() {
+                maintenance.push(*s);
+            }
+            for s in jitd.stats.commit_ns.samples() {
+                commit.push(*s);
+            }
+        }
+        FleetTally {
+            rewrites: runtimes.iter().map(|j| j.stats.steps).sum::<u64>() - mark.steps,
+            rule_matches,
+            rule_rewrites,
+            maintain_mean_ns: maintenance.finish().map_or(0.0, |s| s.mean),
+            commit_mean_ns: commit.finish().map_or(0.0, |s| s.mean),
+        }
+    }
+}
+
+/// Strategy memory summed across a fleet's shards.
+fn fleet_memory(fleet: &AsyncJitd) -> usize {
+    (0..fleet.shard_count())
+        .map(|s| fleet.with_shard(s, |j| j.strategy_memory_bytes()))
+        .sum()
+}
+
 /// Runs one **fleet** workload (G or H) against one strategy with
-/// per-tree epoch-batched maintenance. The fleet holds `trees` shards;
-/// the preload is split evenly so total state matches a single-tree run
-/// at the same `cfg.records`. Each epoch consumes `batch_size` ops from
-/// the fleet stream; only the shards the epoch actually touched open an
-/// epoch, reorganize, and commit — untouched plans pay nothing, which is
+/// per-tree epoch-batched maintenance. The fleet holds `trees` shards
+/// and no threads (`workers: 0`): the op loop drains the shared work
+/// queue inline, so the run is deterministic. The preload is split
+/// evenly so total state matches a single-tree run at the same
+/// `cfg.records`. Each epoch consumes `batch_size` ops from the fleet
+/// stream; only the shards the epoch actually touched open an epoch,
+/// reorganize, and commit — untouched plans pay nothing, which is
 /// exactly the isolation the tree-count axis measures.
 pub fn run_fleet_batched(
     workload: char,
@@ -544,38 +649,37 @@ pub fn run_fleet_batched(
     assert!(batch_size > 0, "batch size must be positive");
     assert!(trees > 0, "fleet needs at least one tree");
     let records_per_tree = (cfg.records / trees as u64).max(32);
-    let mut fleet = JitdFleet::with_matcher(
+    let fleet = build_fleet(
         strategy,
-        RuleConfig {
-            crack_threshold: cfg.crack_threshold,
-        },
+        &cfg,
         trees,
-        |t| {
-            (0..records_per_tree as i64)
-                .map(|k| Record::new(k, k.wrapping_mul(7) ^ t as i64))
-                .collect()
+        records_per_tree,
+        StealConfig {
+            workers: 0,
+            heat_threshold: 1,
         },
-        cfg.compiled_match,
+        if cfg.async_commit {
+            CommitMode::Async
+        } else {
+            CommitMode::Sync
+        },
     );
     let mut driver = FleetWorkload::new(
         FleetSpec::standard(workload, trees),
         records_per_tree,
         cfg.seed,
     );
-    // Load-phase organization per shard, outside the measured loop.
-    for t in fleet.tree_ids().collect::<Vec<TreeId>>() {
-        fleet.reorganize_until_quiet(t, u64::MAX);
-    }
+    // Load-phase organization outside the measured loop: every shard
+    // starts queued, so one drain cracks them all to quiescence.
+    fleet.reorganize_pending(u64::MAX);
 
-    let mut peak = fleet.strategy_memory_bytes();
-    let steps_before = fleet.stats.steps;
-    let matches_before = fleet.stats.rule_matches.clone();
-    let rewrites_before = fleet.stats.rule_rewrites.clone();
+    let mut peak = fleet_memory(&fleet);
+    let mark = FleetMark::take(&fleet);
     let mut worst_window_ns = 0u64;
     let t0 = now_ns();
     let mut done = 0usize;
     let mut k = batch_size;
-    let mut touched: Vec<TreeId> = Vec::new();
+    let mut touched: Vec<usize> = Vec::new();
     let mut in_epoch = vec![false; trees];
     while done < cfg.ops {
         if cfg.async_commit {
@@ -588,33 +692,27 @@ pub fn run_fleet_batched(
         in_epoch.iter_mut().for_each(|b| *b = false);
         for _ in 0..chunk {
             let fop = driver.next_op();
-            let tree = TreeId::from_index(fop.tree as u32);
             if !in_epoch[fop.tree] {
                 in_epoch[fop.tree] = true;
-                touched.push(tree);
-                fleet.begin_batch(tree);
+                touched.push(fop.tree);
+                fleet.begin_batch_on(fop.tree);
             }
-            fleet.execute(tree, &fop.op);
+            fleet.execute_on(fop.tree, &fop.op);
         }
-        // Drain the epoch's backlog hottest-first through the fleet's
-        // heat scheduler (structurally identical to per-tree draining —
-        // the steal-equivalence suite pins that — but it exercises and
-        // counts the priority scheduling the pooled cells measure).
+        // Drain the epoch's backlog through the work queue, one round
+        // per pop (structurally identical to per-tree draining — the
+        // steal-equivalence suite pins that).
         fleet.reorganize_pending(u64::MAX);
-        peak = peak.max(fleet.strategy_memory_bytes());
+        peak = peak.max(fleet_memory(&fleet));
         // The commit window (see `BatchRunResult::worst_window_ns`):
         // only the epoch-close stall, not the ops/reorganization above.
         let w_close = now_ns();
         for &tree in &touched {
-            if cfg.async_commit {
-                fleet.submit_commit(tree);
-            } else {
-                fleet.commit_batch(tree);
-            }
+            fleet.submit_commit_on(tree);
         }
         done += chunk;
         worst_window_ns = worst_window_ns.max(now_ns() - w_close);
-        peak = peak.max(fleet.strategy_memory_bytes());
+        peak = peak.max(fleet_memory(&fleet));
         if cfg.adaptive_batch {
             // Sum only the shards this epoch touched: untouched shards
             // still report their *last* epoch's counters, which would
@@ -622,7 +720,7 @@ pub fn run_fleet_batched(
             let mut any = false;
             let (mut staged, mut canceled) = (0u64, 0u64);
             for &tree in &touched {
-                if let Some((s, c)) = fleet.batch_cancellation(tree) {
+                if let Some((s, c)) = fleet.with_shard(tree, |j| j.batch_cancellation()) {
                     any = true;
                     staged += s;
                     canceled += c;
@@ -637,12 +735,10 @@ pub fn run_fleet_batched(
     }
     let total_ns = now_ns() - t0;
 
-    let maintain_mean_ns = fleet
-        .stats
-        .all_maintenance_samples()
-        .finish()
-        .map_or(0.0, |s| s.mean);
-    let commit_mean_ns = fleet.stats.commit_ns.finish().map_or(0.0, |s| s.mean);
+    let final_bytes = fleet_memory(&fleet);
+    let steal = fleet.steal_stats();
+    let (runtimes, _) = fleet.stop();
+    let tally = FleetTally::of(&runtimes, &mark);
     BatchRunResult {
         workload,
         strategy,
@@ -650,16 +746,16 @@ pub fn run_fleet_batched(
         final_batch_size: k,
         trees,
         ops: cfg.ops,
-        rewrites: fleet.stats.steps - steps_before,
+        rewrites: tally.rewrites,
         total_ns,
-        maintain_mean_ns,
-        commit_mean_ns,
+        maintain_mean_ns: tally.maintain_mean_ns,
+        commit_mean_ns: tally.commit_mean_ns,
         peak_strategy_bytes: peak,
-        final_strategy_bytes: fleet.strategy_memory_bytes(),
+        final_strategy_bytes: final_bytes,
         scheduler: "sync",
         workers: 0,
-        steal_count: fleet.stats.steal_count,
-        contended_count: fleet.stats.contended_count,
+        steal_count: steal.steal_count,
+        contended_count: steal.contended_count,
         commit: if cfg.async_commit { "async" } else { "sync" },
         worst_window_ns,
         mode: "library",
@@ -667,73 +763,56 @@ pub fn run_fleet_batched(
         p99_ns: 0,
         matcher: matcher_label(cfg.compiled_match),
         rule_count: 0,
-        rule_matches: counter_delta(&fleet.stats.rule_matches, &matches_before),
-        rule_rewrites: counter_delta(&fleet.stats.rule_rewrites, &rewrites_before),
+        rule_matches: tally.rule_matches,
+        rule_rewrites: tally.rule_rewrites,
     }
 }
 
 /// Runs fleet workload `workload` against a **threaded** reorganizer
-/// deployment: one [`tt_jitd::Jitd`] shard per tree behind its own
-/// mutex, background workers racing the op stream. `workers: None` is
-/// the dedicated baseline (one pinned worker per shard, PR 4's model);
-/// `Some(w)` runs a work-stealing pool of `w` threads over the shared
-/// queue. The measured quantity is the wall time of the op loop — the
-/// driver contends with the reorganizers on the per-shard locks, so a
-/// deployment that wastes threads on cold shards (dedicated, under the
-/// skewed workload I) pays for it here. Initial cracking happens before
-/// the clock starts, identically for both deployments.
+/// pool: one [`tt_jitd::Jitd`] shard per tree behind its own mutex,
+/// `workers` background threads draining the shared work queue while
+/// the op stream races them. `workers == trees` is the baseline (as
+/// many threads as shards); fewer workers is a stealing pool, which the
+/// stealing gate holds to that baseline. The measured quantity is the
+/// wall time of the op loop — which contends with the reorganizers
+/// on the per-shard locks. Initial cracking happens before the clock
+/// starts, identically for every pool size.
 pub fn run_steal_pool(
     workload: char,
     strategy: StrategyKind,
     cfg: ExperimentConfig,
     trees: usize,
-    workers: Option<usize>,
+    workers: usize,
 ) -> BatchRunResult {
-    use tt_jitd::{AsyncJitd, StealConfig, WorkerMode};
     assert!(trees > 0, "pool needs at least one shard");
+    assert!(workers > 0, "a threaded cell needs a worker");
     // Floor the per-shard preload at twice the crack threshold: a shard
     // whose array can never crack generates no reorganization backlog,
     // and a backlog is the entire point of a scheduler cell.
     let records_per_tree = (cfg.records / trees as u64)
         .max(2 * cfg.crack_threshold as u64)
         .max(32);
-    let parts: Vec<Vec<Record>> = (0..trees)
-        .map(|t| {
-            (0..records_per_tree as i64)
-                .map(|k| Record::new(k, k.wrapping_mul(7) ^ t as i64))
-                .collect()
-        })
-        .collect();
-    let mode = match workers {
-        None => WorkerMode::Dedicated,
-        Some(w) => WorkerMode::Stealing(StealConfig {
-            workers: w,
-            heat_threshold: 1,
-        }),
-    };
-    let pool = AsyncJitd::spawn_parts(
+    let pool = build_fleet(
         strategy,
-        RuleConfig {
-            crack_threshold: cfg.crack_threshold,
+        &ExperimentConfig {
+            compiled_match: true,
+            ..cfg
         },
-        parts,
-        mode,
+        trees,
+        records_per_tree,
+        StealConfig {
+            workers,
+            heat_threshold: 1,
+        },
+        CommitMode::Sync,
     );
     // Load-phase organization outside the measured loop: the driver
-    // cracks every shard synchronously so both deployments start the
+    // cracks every shard synchronously so every pool size starts the
     // clock from the same quiescent fleet.
     for shard in 0..trees {
         pool.with_shard(shard, |j| j.reorganize_until_quiet(u64::MAX));
     }
-    let steps_before: u64 = (0..trees)
-        .map(|s| pool.with_shard(s, |j| j.stats.steps))
-        .sum();
-    let rewrites_before: Vec<Vec<u64>> = (0..trees)
-        .map(|s| pool.with_shard(s, |j| j.stats.rule_rewrites.clone()))
-        .collect();
-    let matches_before: Vec<Vec<u64>> = (0..trees)
-        .map(|s| pool.with_shard(s, |j| j.stats.rule_matches.clone()))
-        .collect();
+    let mark = FleetMark::take(&pool);
 
     let mut driver = FleetWorkload::new(
         FleetSpec::standard(workload, trees),
@@ -746,31 +825,22 @@ pub fn run_steal_pool(
         pool.execute_on(fop.tree, &fop.op);
     }
     // The cell is end-to-end burst completion: keep the clock running
-    // until the background has drained every shard's backlog. The two
-    // deployments owe identical rewrite work (same per-shard streams),
-    // so the cell isolates *scheduling* efficiency — a deployment that
-    // parks threads on cold shards while the hot minority's backlog
-    // waits pays for it right here. The probe claims shards with a
-    // try-lock and treats a busy shard as not-quiet, so the observer
-    // never queues behind a worker and never pollutes the pool's
-    // contention ledger; the short sleep between sweeps hands the core
-    // to the workers (essential on small machines) and adds at most one
-    // sweep period to a drain that is orders of magnitude longer.
+    // until the background has drained every shard's backlog. Every
+    // pool size owes identical rewrite work (same per-shard streams),
+    // so the cell isolates *scheduling* efficiency — a pool whose
+    // threads idle while the hot minority's backlog waits pays for it
+    // right here. The probe claims shards with a try-lock and treats a
+    // busy shard as not-quiet, so the observer never queues behind a
+    // worker and never pollutes the pool's contention ledger; the short
+    // sleep between sweeps hands the core to the workers (essential on
+    // small machines) and adds at most one sweep period to a drain that
+    // is orders of magnitude longer.
     loop {
-        let mut quiet = true;
-        for shard in 0..trees {
-            match pool.try_with_shard(shard, |j| j.has_pending_matches()) {
-                Some(false) => {}
-                // Pending matches, or a worker holds the shard (it is
-                // mid-round, so not provably quiescent).
-                Some(true) | None => quiet = false,
-            }
-        }
-        // A fleet can be out of matches while the committer still holds
-        // sealed-but-unapplied epochs; in-flight commits are backlog too.
-        if pool.commits_pending() {
-            quiet = false;
-        }
+        let quiet = (0..trees).all(|shard| {
+            // Pending matches, or a worker holds the shard (it is
+            // mid-round, so not provably quiescent).
+            pool.try_with_shard(shard, |j| j.has_pending_matches()) == Some(false)
+        });
         if quiet {
             break;
         }
@@ -780,18 +850,10 @@ pub fn run_steal_pool(
 
     let steal = pool.steal_stats();
     let (mut runtimes, _) = pool.stop();
-    let steps_after: u64 = runtimes.iter().map(|j| j.stats.steps).sum();
-    let (rule_matches, rule_rewrites) =
-        sum_rule_counters(&runtimes, &matches_before, &rewrites_before);
-    let mut maintenance = SummaryBuilder::new();
-    for jitd in &runtimes {
-        for s in jitd.stats.all_maintenance_samples().samples() {
-            maintenance.push(*s);
-        }
-    }
+    let tally = FleetTally::of(&runtimes, &mark);
     // Post-measurement: drain leftovers so the reported memory describes
-    // a quiescent fleet, comparable across the two *deployments*. It is
-    // NOT comparable to sync cells' peak_bytes — those sample mid-epoch
+    // a quiescent fleet, comparable across pool sizes. It is NOT
+    // comparable to sync cells' peak_bytes — those sample mid-epoch
     // maxima, while live sampling across worker threads would need
     // instrumentation the measured loop shouldn't pay for; pool cells
     // therefore report peak == final (documented in docs/benching.md).
@@ -806,18 +868,14 @@ pub fn run_steal_pool(
         final_batch_size: 1,
         trees,
         ops: cfg.ops,
-        rewrites: steps_after - steps_before,
+        rewrites: tally.rewrites,
         total_ns,
-        maintain_mean_ns: maintenance.finish().map_or(0.0, |s| s.mean),
+        maintain_mean_ns: tally.maintain_mean_ns,
         commit_mean_ns: 0.0,
         peak_strategy_bytes: final_bytes,
         final_strategy_bytes: final_bytes,
-        scheduler: if workers.is_some() {
-            "steal"
-        } else {
-            "dedicated"
-        },
-        workers: workers.unwrap_or(trees),
+        scheduler: "steal",
+        workers,
         steal_count: steal.steal_count,
         contended_count: steal.contended_count,
         commit: "sync",
@@ -827,36 +885,9 @@ pub fn run_steal_pool(
         p99_ns: 0,
         matcher: "compiled",
         rule_count: 0,
-        rule_matches,
-        rule_rewrites,
+        rule_matches: tally.rule_matches,
+        rule_rewrites: tally.rule_rewrites,
     }
-}
-
-/// Per-rule counters for the threaded drivers: the measured window's
-/// `after - before` delta, summed across shards.
-fn sum_rule_counters(
-    runtimes: &[Jitd],
-    matches_before: &[Vec<u64>],
-    rewrites_before: &[Vec<u64>],
-) -> (Vec<u64>, Vec<u64>) {
-    let rules = runtimes.first().map_or(0, |j| j.rules().len());
-    let mut matches = vec![0u64; rules];
-    let mut rewrites = vec![0u64; rules];
-    for (s, jitd) in runtimes.iter().enumerate() {
-        for (acc, d) in matches
-            .iter_mut()
-            .zip(counter_delta(&jitd.stats.rule_matches, &matches_before[s]))
-        {
-            *acc += d;
-        }
-        for (acc, d) in rewrites.iter_mut().zip(counter_delta(
-            &jitd.stats.rule_rewrites,
-            &rewrites_before[s],
-        )) {
-            *acc += d;
-        }
-    }
-    (matches, rewrites)
 }
 
 /// Runs one fleet workload through the **commit pipeline** cell: epochs
@@ -904,29 +935,23 @@ pub fn run_commit_pipeline(
     trees: usize,
     async_commit: bool,
 ) -> BatchRunResult {
-    use tt_jitd::{AsyncJitd, CommitMode, StealConfig, WorkerMode};
     assert!(batch_size > 0, "batch size must be positive");
     assert!(trees > 0, "pipeline needs at least one shard");
     let records_per_tree = (cfg.records / trees as u64)
         .max(2 * cfg.crack_threshold as u64)
         .max(32);
-    let parts: Vec<Vec<Record>> = (0..trees)
-        .map(|t| {
-            (0..records_per_tree as i64)
-                .map(|k| Record::new(k, k.wrapping_mul(7) ^ t as i64))
-                .collect()
-        })
-        .collect();
-    let pool = AsyncJitd::spawn_parts_with(
+    let pool = build_fleet(
         strategy,
-        RuleConfig {
-            crack_threshold: cfg.crack_threshold,
+        &ExperimentConfig {
+            compiled_match: true,
+            ..cfg
         },
-        parts,
-        WorkerMode::Stealing(StealConfig {
+        trees,
+        records_per_tree,
+        StealConfig {
             workers: 1,
             heat_threshold: u64::MAX,
-        }),
+        },
         if async_commit {
             CommitMode::Async
         } else {
@@ -937,15 +962,7 @@ pub fn run_commit_pipeline(
     for shard in 0..trees {
         pool.with_shard(shard, |j| j.reorganize_until_quiet(u64::MAX));
     }
-    let steps_before: u64 = (0..trees)
-        .map(|s| pool.with_shard(s, |j| j.stats.steps))
-        .sum();
-    let rewrites_before: Vec<Vec<u64>> = (0..trees)
-        .map(|s| pool.with_shard(s, |j| j.stats.rule_rewrites.clone()))
-        .collect();
-    let matches_before: Vec<Vec<u64>> = (0..trees)
-        .map(|s| pool.with_shard(s, |j| j.stats.rule_matches.clone()))
-        .collect();
+    let mark = FleetMark::take(&pool);
 
     let mut driver = FleetWorkload::new(
         FleetSpec::standard(workload, trees),
@@ -1004,19 +1021,7 @@ pub fn run_commit_pipeline(
     let total_ns = now_ns() - t0;
 
     let (mut runtimes, _) = pool.stop();
-    let steps_after: u64 = runtimes.iter().map(|j| j.stats.steps).sum();
-    let (rule_matches, rule_rewrites) =
-        sum_rule_counters(&runtimes, &matches_before, &rewrites_before);
-    let mut maintenance = SummaryBuilder::new();
-    let mut commit = SummaryBuilder::new();
-    for jitd in &runtimes {
-        for s in jitd.stats.all_maintenance_samples().samples() {
-            maintenance.push(*s);
-        }
-        for s in jitd.stats.commit_ns.samples() {
-            commit.push(*s);
-        }
-    }
+    let tally = FleetTally::of(&runtimes, &mark);
     // Post-measurement: drain the carried backlog so the reported
     // memory describes a quiescent fleet (same caveat as the pool
     // cells: peak == final).
@@ -1031,10 +1036,10 @@ pub fn run_commit_pipeline(
         final_batch_size: batch_size,
         trees,
         ops: cfg.ops,
-        rewrites: steps_after - steps_before,
+        rewrites: tally.rewrites,
         total_ns,
-        maintain_mean_ns: maintenance.finish().map_or(0.0, |s| s.mean),
-        commit_mean_ns: commit.finish().map_or(0.0, |s| s.mean),
+        maintain_mean_ns: tally.maintain_mean_ns,
+        commit_mean_ns: tally.commit_mean_ns,
         peak_strategy_bytes: final_bytes,
         final_strategy_bytes: final_bytes,
         scheduler: "sync",
@@ -1048,8 +1053,8 @@ pub fn run_commit_pipeline(
         p99_ns: 0,
         matcher: "compiled",
         rule_count: 0,
-        rule_matches,
-        rule_rewrites,
+        rule_matches: tally.rule_matches,
+        rule_rewrites: tally.rule_rewrites,
     }
 }
 
@@ -1301,12 +1306,11 @@ mod tests {
     #[test]
     fn run_steal_pool_covers_both_deployments() {
         let cfg = tiny();
-        let dedicated = run_steal_pool('I', StrategyKind::TreeToaster, cfg, 4, None);
-        assert_eq!(dedicated.scheduler, "dedicated");
-        assert_eq!(dedicated.workers, 4);
-        assert_eq!(dedicated.steal_count, 0, "pinned workers never steal");
-        assert!(dedicated.total_ns > 0);
-        let stealing = run_steal_pool('I', StrategyKind::TreeToaster, cfg, 4, Some(2));
+        let baseline = run_steal_pool('I', StrategyKind::TreeToaster, cfg, 4, 4);
+        assert_eq!(baseline.scheduler, "steal");
+        assert_eq!(baseline.workers, 4);
+        assert!(baseline.total_ns > 0);
+        let stealing = run_steal_pool('I', StrategyKind::TreeToaster, cfg, 4, 2);
         assert_eq!(stealing.scheduler, "steal");
         assert_eq!(stealing.workers, 2);
         assert_eq!(stealing.trees, 4);

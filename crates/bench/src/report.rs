@@ -29,10 +29,13 @@
 //! `scheduler`/`workers` are the reorganizer-deployment axis (PR 5):
 //! `"sync"` cells (the default when the fields are absent — every
 //! pre-PR 5 artifact) measure the inline-reorganizing drivers, while
-//! `"dedicated"` (one background worker per shard) and `"steal"` (a
-//! work-stealing pool of `workers` threads) measure the threaded
-//! deployments on the skewed fleet workload I. Threaded cells also
-//! carry the scheduling ledger: `steal_count` and `contended_count`.
+//! `"steal"` cells (a pool of `workers` background threads draining the
+//! fleet's work queue) measure the threaded deployment on the skewed
+//! fleet workload I. Older artifacts also carry `"dedicated"` cells
+//! (one pinned worker per shard); readers key and gate them as the
+//! `"steal"` pool with `workers == trees` that replaced them. Threaded
+//! cells also carry the scheduling ledger: `steal_count` and
+//! `contended_count`.
 //!
 //! `commit`/`worst_window_ns` are the commit-pipeline axis (PR 6):
 //! `"sync"` cells (the default when the field is absent — every
@@ -68,11 +71,12 @@
 //! matcher, rule_count)`.
 //!
 //! Validation enforces, beyond schema and coverage, the **stealing
-//! gate**: wherever a dedicated-worker baseline and a smaller stealing
-//! pool were both measured, the pool's ns/op must stay within
-//! [`STEAL_GATE_ENVELOPE`] of the baseline — work-stealing with fewer
-//! threads must match or beat one-thread-per-shard under skew, and a
-//! report that says otherwise is a scheduling regression. The
+//! gate**: every threaded group needs a one-worker-per-shard baseline
+//! (`workers == trees`) and a smaller pool, and the best smaller pool's
+//! ns/op must stay within [`STEAL_GATE_ENVELOPE`] of the baseline —
+//! work-stealing with fewer threads must keep up with one thread per
+//! shard under skew, and a report that says otherwise is a scheduling
+//! regression. The
 //! **commit gate** works the same way: every `commit: "async"` cell
 //! must have a synchronous twin (same key except the commit axis),
 //! stay within [`COMMIT_GATE_ENVELOPE`] of its ns/op, and — on the
@@ -121,7 +125,8 @@ pub struct SweepConfig {
     /// Shard counts for the threaded workload-I scheduler cells; empty
     /// disables them.
     pub steal_trees: Vec<usize>,
-    /// Stealing-pool sizes swept against each dedicated baseline.
+    /// Stealing-pool sizes swept against each one-worker-per-shard
+    /// baseline.
     pub steal_workers: Vec<usize>,
     /// Fleet workloads measured through the commit-pipeline driver
     /// (one sync + one async cell each); empty disables them. A
@@ -449,6 +454,7 @@ pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
         if !matches!(scheduler, "sync" | "dedicated" | "steal") {
             return Err(format!("results[{i}]: unknown scheduler `{scheduler}`"));
         }
+        let scheduler = legacy_scheduler(scheduler);
         let workers = match entry.get("workers") {
             None => 0.0,
             Some(_) => require_num(entry, "workers", i)?,
@@ -738,20 +744,30 @@ pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
     })
 }
 
-/// How much slower than the dedicated-worker baseline a stealing pool
-/// may measure before the gate trips. Threaded cells are the noisiest
-/// in the report (the op path races the reorganizers), so like the
-/// fleet-scaling envelope this is set to catch genuine inversions —
-/// "stealing lost badly" — rather than scheduler jitter; the committed
-/// artifact itself should show the pool at ≤ 1.0×.
+/// Artifacts before the fleet runtime was unified label the
+/// one-worker-per-shard baseline `"dedicated"`; it is the stealing pool
+/// with `workers == trees`, and is keyed (and gated) as one.
+fn legacy_scheduler(scheduler: &str) -> &str {
+    if scheduler == "dedicated" {
+        "steal"
+    } else {
+        scheduler
+    }
+}
+
+/// How much slower than the one-worker-per-shard baseline a smaller
+/// stealing pool may measure before the gate trips. Threaded cells are
+/// the noisiest in the report (the op path races the reorganizers), so
+/// like the fleet-scaling envelope this is set to catch genuine
+/// inversions — "stealing lost badly" — rather than scheduler jitter.
 pub const STEAL_GATE_ENVELOPE: f64 = 1.25;
 
 /// The stealing gate: for every `(strategy, workload, batch, trees)`
-/// combination that measured threaded deployments, a dedicated-worker
-/// baseline must exist alongside at least one stealing pool with
-/// `workers < trees` (otherwise it isn't stealing, just relabeled
-/// dedicated workers), and the best such pool must stay within
-/// [`STEAL_GATE_ENVELOPE`] of the baseline's ns/op.
+/// combination that measured threaded pools, a baseline pool with one
+/// worker per shard (`workers == trees`) must exist alongside at least
+/// one pool with `workers < trees` (otherwise nothing is stolen), and
+/// the best such pool must stay within [`STEAL_GATE_ENVELOPE`] of the
+/// baseline's ns/op.
 #[allow(clippy::type_complexity)]
 fn check_steal_scheduling(
     pool_cells: &[(String, String, u64, u64, String, u64, f64)],
@@ -761,22 +777,20 @@ fn check_steal_scheduling(
         .map(|(s, w, b, t, _, _, _)| (s.clone(), w.clone(), *b, *t))
         .collect();
     for (strategy, workload, batch, trees) in groups {
-        let of_kind = |kind: &str| -> Vec<(u64, f64)> {
-            pool_cells
-                .iter()
-                .filter(|(s, w, b, t, sched, _, _)| {
-                    *s == strategy && *w == workload && *b == batch && *t == trees && sched == kind
-                })
-                .map(|&(_, _, _, _, _, workers, ns)| (workers, ns))
-                .collect()
-        };
-        let Some(&(_, dedicated_ns)) = of_kind("dedicated").first() else {
+        let pools: Vec<(u64, f64)> = pool_cells
+            .iter()
+            .filter(|(s, w, b, t, _, _, _)| {
+                *s == strategy && *w == workload && *b == batch && *t == trees
+            })
+            .map(|&(_, _, _, _, _, workers, ns)| (workers, ns))
+            .collect();
+        let Some(&(_, baseline_ns)) = pools.iter().find(|&&(workers, _)| workers == trees) else {
             return Err(format!(
                 "threaded cells for {workload}/{strategy}/K={batch}/T={trees} \
-                 lack a dedicated-worker baseline"
+                 lack a one-worker-per-shard baseline ({trees} workers)"
             ));
         };
-        let Some((best_workers, best_ns)) = of_kind("steal")
+        let Some((best_workers, best_ns)) = pools
             .into_iter()
             .filter(|&(workers, _)| workers < trees)
             .min_by(|a, b| a.1.total_cmp(&b.1))
@@ -786,11 +800,11 @@ fn check_steal_scheduling(
                  have no stealing pool smaller than the shard count"
             ));
         };
-        if best_ns > dedicated_ns * STEAL_GATE_ENVELOPE {
+        if best_ns > baseline_ns * STEAL_GATE_ENVELOPE {
             return Err(format!(
                 "stealing regression on {workload}/{strategy}/K={batch}/T={trees}: \
                  best pool ({best_workers} workers) ran {best_ns:.0} ns/op vs \
-                 {dedicated_ns:.0} for {trees} dedicated workers \
+                 {baseline_ns:.0} for {trees} workers \
                  (>{STEAL_GATE_ENVELOPE}x envelope)"
             ));
         }
@@ -1090,11 +1104,13 @@ fn collect_cells(text: &str, which: &str) -> Result<Vec<RawCell>, String> {
                 entry.get("trees").and_then(Json::as_f64).unwrap_or(1.0) as u64,
                 // Pre-PR 5 artifacts carry no scheduler axis: they are
                 // sync cells with no background workers.
-                entry
-                    .get("scheduler")
-                    .and_then(Json::as_str)
-                    .unwrap_or("sync")
-                    .to_string(),
+                legacy_scheduler(
+                    entry
+                        .get("scheduler")
+                        .and_then(Json::as_str)
+                        .unwrap_or("sync"),
+                )
+                .to_string(),
                 entry.get("workers").and_then(Json::as_f64).unwrap_or(0.0) as u64,
                 // Pre-PR 6 artifacts carry no commit axis: inline apply.
                 entry
@@ -1368,19 +1384,16 @@ mod tests {
         }
     }
 
-    /// A threaded workload-I cell (`workers: None` = dedicated).
-    fn pool_cell(workers: Option<usize>, total_ns: u64) -> BatchRunResult {
+    /// A threaded workload-I pool cell over 8 shards (`workers: 8` is
+    /// the one-worker-per-shard baseline).
+    fn pool_cell(workers: usize, total_ns: u64) -> BatchRunResult {
         BatchRunResult {
             workload: 'I',
             trees: 8,
             total_ns,
-            scheduler: if workers.is_some() {
-                "steal"
-            } else {
-                "dedicated"
-            },
-            workers: workers.unwrap_or(8),
-            steal_count: if workers.is_some() { 5 } else { 0 },
+            scheduler: "steal",
+            workers,
+            steal_count: 5,
             contended_count: 1,
             ..cell('I', StrategyKind::TreeToaster, 1, 8)
         }
@@ -1432,43 +1445,51 @@ mod tests {
 
     #[test]
     fn steal_gate_passes_and_trips() {
-        // Dedicated at 12_000 ns; a 2-worker pool at 10_000 beats it.
+        // Baseline at 12_000 ns; a 2-worker pool at 10_000 beats it.
         let mut results = fake_fleet_results();
-        results.push(pool_cell(None, 12_000));
-        results.push(pool_cell(Some(2), 10_000));
+        results.push(pool_cell(8, 12_000));
+        results.push(pool_cell(2, 10_000));
         let summary = validate_report(&render_report(&fleet_sweep(), &results)).unwrap();
         assert!(summary.schedulers.iter().any(|s| s == "steal"));
-        assert!(summary.schedulers.iter().any(|s| s == "dedicated"));
         // Pool slower but inside the envelope: still passes.
         let mut results = fake_fleet_results();
-        results.push(pool_cell(None, 12_000));
-        results.push(pool_cell(Some(2), 14_000));
+        results.push(pool_cell(8, 12_000));
+        results.push(pool_cell(2, 14_000));
         validate_report(&render_report(&fleet_sweep(), &results)).unwrap();
         // Pool beyond the envelope: the gate names the cell.
         let mut results = fake_fleet_results();
-        results.push(pool_cell(None, 12_000));
-        results.push(pool_cell(Some(2), 40_000));
+        results.push(pool_cell(8, 12_000));
+        results.push(pool_cell(2, 40_000));
         let err = validate_report(&render_report(&fleet_sweep(), &results)).unwrap_err();
         assert!(err.contains("stealing regression"), "{err}");
         // Multiple pool sizes: the best one carries the gate.
         let mut results = fake_fleet_results();
-        results.push(pool_cell(None, 12_000));
-        results.push(pool_cell(Some(4), 40_000));
-        results.push(pool_cell(Some(2), 11_000));
+        results.push(pool_cell(8, 12_000));
+        results.push(pool_cell(4, 40_000));
+        results.push(pool_cell(2, 11_000));
         validate_report(&render_report(&fleet_sweep(), &results)).unwrap();
+        // A legacy "dedicated" cell is the baseline pool it stood for.
+        let mut results = fake_fleet_results();
+        results.push(BatchRunResult {
+            scheduler: "dedicated",
+            ..pool_cell(8, 12_000)
+        });
+        results.push(pool_cell(2, 40_000));
+        let err = validate_report(&render_report(&fleet_sweep(), &results)).unwrap_err();
+        assert!(err.contains("stealing regression"), "{err}");
     }
 
     #[test]
     fn steal_gate_requires_baseline_and_a_smaller_pool() {
-        // Stealing cells without a dedicated baseline are rejected…
+        // Stealing cells without a one-worker-per-shard baseline are
+        // rejected…
         let mut results = fake_fleet_results();
-        results.push(pool_cell(Some(2), 10_000));
+        results.push(pool_cell(2, 10_000));
         let err = validate_report(&render_report(&fleet_sweep(), &results)).unwrap_err();
-        assert!(err.contains("dedicated-worker baseline"), "{err}");
-        // …and a "pool" as large as the shard count is not stealing.
+        assert!(err.contains("one-worker-per-shard baseline"), "{err}");
+        // …and a baseline alone steals nothing.
         let mut results = fake_fleet_results();
-        results.push(pool_cell(None, 12_000));
-        results.push(pool_cell(Some(8), 10_000));
+        results.push(pool_cell(8, 12_000));
         let err = validate_report(&render_report(&fleet_sweep(), &results)).unwrap_err();
         assert!(err.contains("smaller than the shard count"), "{err}");
     }
@@ -1749,26 +1770,32 @@ mod tests {
 
     #[test]
     fn compare_keys_cells_by_scheduler_and_workers() {
-        // A dedicated cell and a stealing cell share (strategy,
-        // workload, K, trees): the scheduler axis must keep them apart.
+        // Two pools share (strategy, workload, K, trees): the worker
+        // axis must keep them apart.
         let mut results = fake_fleet_results();
-        results.push(pool_cell(None, 12_000));
-        results.push(pool_cell(Some(2), 10_000));
+        results.push(pool_cell(8, 12_000));
+        results.push(pool_cell(2, 10_000));
         let text = render_report(&fleet_sweep(), &results);
         let cmp = compare_reports(&text, &text, 0.15).unwrap();
         assert!(cmp.passed());
         let pooled: Vec<&CellDelta> = cmp.cells.iter().filter(|c| c.scheduler != "sync").collect();
         assert_eq!(pooled.len(), 2, "both threaded cells pair distinctly");
-        assert!(pooled
-            .iter()
-            .any(|c| c.scheduler == "dedicated" && c.workers == 8));
-        assert!(pooled
-            .iter()
-            .any(|c| c.scheduler == "steal" && c.workers == 2));
+        assert!(pooled.iter().all(|c| c.scheduler == "steal"));
+        assert!(pooled.iter().any(|c| c.workers == 8));
+        assert!(pooled.iter().any(|c| c.workers == 2));
+        // A legacy "dedicated" baseline pairs with the 8-worker pool.
+        let mut legacy = fake_fleet_results();
+        legacy.push(BatchRunResult {
+            scheduler: "dedicated",
+            ..pool_cell(8, 12_000)
+        });
+        legacy.push(pool_cell(2, 10_000));
+        let old = render_report(&fleet_sweep(), &legacy);
+        assert!(compare_reports(&old, &text, 0.15).unwrap().passed());
         // Losing just the stealing cell is reported with its full key.
         let mut lost = fake_fleet_results();
-        lost.push(pool_cell(None, 12_000));
-        lost.push(pool_cell(Some(4), 11_000));
+        lost.push(pool_cell(8, 12_000));
+        lost.push(pool_cell(4, 11_000));
         let err = compare_reports(&text, &render_report(&fleet_sweep(), &lost), 0.15).unwrap_err();
         assert!(err.contains("steal"), "{err}");
         assert!(err.contains("W=2"), "{err}");

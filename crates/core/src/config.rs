@@ -137,7 +137,7 @@ impl EngineConfig {
 /// A sharded deployment on top of an [`EngineConfig`]: how many session
 /// shards exist and how the shared worker pool drains them. Plain data —
 /// the `jitd` crate maps `workers`/`heat_threshold` onto its
-/// `WorkerMode` and `async_commit` onto its `CommitMode`.
+/// `StealConfig` and `async_commit` onto its `CommitMode`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetConfig {
     /// Per-shard engine configuration.

@@ -25,17 +25,12 @@
 //!   accumulates ± view deltas across a rewrite burst and cancels
 //!   opposing entries before they ever touch a `MatchView`
 //!   (single-rewrite maintenance is the degenerate one-delta epoch).
-//! - [`forest`] — the multi-tree deployment: a [`ForestEngine`] owns one
-//!   strategy instance per `tt_ast::forest` shard, shares the compiled
-//!   rule/pattern state across the fleet, and keeps per-tree epochs
-//!   fully independent.
 //! - [`config`] — the typed [`EngineConfig`]/[`FleetConfig`] builders;
 //!   the one place `TT_*` environment knobs are parsed.
 
 pub mod batch;
 pub mod config;
 pub mod engine;
-pub mod forest;
 pub mod generator;
 pub mod inline;
 pub mod rules;
@@ -45,7 +40,6 @@ pub mod view;
 pub use batch::DeltaBuffer;
 pub use config::{env_u64, EngineConfig, FleetConfig};
 pub use engine::TreeToasterEngine;
-pub use forest::ForestEngine;
 pub use generator::{AttrGen, GenCtx, GenNode, GenPath};
 pub use inline::{CompiledRulePlan, InlineMatrix};
 pub use rules::{AppliedRewrite, RewriteRule, RuleSet};

@@ -104,9 +104,8 @@ pub trait MatchCore: Send {
 
     /// Cheap **heat** estimate: roughly how much reorganization work this
     /// strategy expects its tree to hold right now — known matches in its
-    /// views plus deltas staged in an open epoch. The forest scheduler
-    /// (`ForestEngine::find_anywhere`, the work-stealing pool) uses it as
-    /// a priority key, so it must be O(views), never O(tree). It is a
+    /// views plus deltas staged in an open epoch. Schedulers may use it
+    /// as a priority key, so it must be O(views), never O(tree). It is a
     /// hint: over- or under-estimating only affects probe *order*, never
     /// correctness. Default 0, for strategies that keep no state and
     /// therefore cannot estimate without searching (Naive).
@@ -214,7 +213,7 @@ pub trait MatchSource: MatchCore + EpochOps {}
 impl<T: MatchCore + EpochOps + ?Sized> MatchSource for T {}
 
 /// Boxed strategies are strategies: lets heterogeneous deployments (the
-/// runtime's `StrategyKind::build`, the forest engine's per-shard fleet)
+/// runtime's `StrategyKind::build`, one per shard of a fleet)
 /// pass `Box<dyn MatchSource>` wherever an `S: MatchSource` is expected.
 /// (Forwarding the two halves is enough — the blanket impl closes the
 /// facade over the box.)

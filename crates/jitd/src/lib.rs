@@ -29,27 +29,23 @@
 //! - [`runtime`] — the instrumented optimizer loop over any
 //!   [`treetoaster_core::MatchSource`] strategy, recording the search /
 //!   rewrite / maintenance latencies the paper's figures report.
-//! - [`fleet`] — the multi-tree runtime: one index per forest shard, all
-//!   maintained by a shared-rule `ForestEngine`, reorganized by a
-//!   heat-priority scheduler (workloads G/H/I's bed).
-//! - [`steal`] — the shared work queue behind work-stealing
-//!   reorganization: heat-gated admission, per-shard dedup, and the
-//!   steal/contention ledger.
-//! - [`concurrent`] — the asynchronous deployment, sharded: per-shard
-//!   mutexes with either one dedicated background reorganizer per shard
-//!   or a work-stealing pool of fewer workers draining the shared
-//!   queue via try-lock claims.
+//! - [`steal`] — the shared work queue behind fleet reorganization:
+//!   heat-gated admission, per-shard dedup, and the steal/contention
+//!   ledger.
+//! - [`concurrent`] — the multi-tree runtime ([`AsyncJitd`]): one
+//!   [`Jitd`] per shard over a shared rule set, per-shard mutexes, and
+//!   one work queue drained inline by the caller (`workers == 0`,
+//!   workloads G/H's bed) or by a work-stealing pool of background
+//!   threads (workload I's and the `tt-serve` daemon's).
 
 pub mod concurrent;
-pub mod fleet;
 pub mod index;
 pub mod rules;
 pub mod runtime;
 pub mod schema;
 pub mod steal;
 
-pub use concurrent::{AsyncJitd, CommitMode, WorkerMode};
-pub use fleet::JitdFleet;
+pub use concurrent::{AsyncJitd, CommitMode};
 pub use index::{JitdIndex, JitdLabels};
 pub use rules::{full_rules, paper_rules, pivot_rules, scaled_rules, RuleConfig};
 pub use runtime::{Jitd, JitdStats, StepOutcome, StrategyKind};

@@ -119,25 +119,6 @@ pub struct JitdStats {
     pub rule_rewrites: Vec<u64>,
     /// Rewrites applied.
     pub steps: u64,
-    /// Scheduler pops that bypassed arrival (FIFO) order to serve a
-    /// hotter shard, or — under a threaded pool — work items drained by
-    /// a non-home worker. 0 for a single-tree runtime and for plain
-    /// round-robin ticking.
-    pub steal_count: u64,
-    /// Failed shard claims (try-lock misses that requeued the item).
-    /// Only a threaded pool can contend; the single-threaded schedulers
-    /// leave this 0.
-    pub contended_count: u64,
-    /// Times a pool worker parked on the work-queue condvar instead of
-    /// spinning. 0 outside a threaded pool.
-    pub parked_count: u64,
-    /// Times a parked worker was woken by a notification (as opposed to
-    /// its heartbeat timeout). 0 outside a threaded pool.
-    pub woken_count: u64,
-    /// `yield_now` calls workers made while idle or contended. With
-    /// condvar parking this stays 0 at steady idle — the counter exists
-    /// to prove the spin-yield path is gone.
-    pub spin_yield_count: u64,
 }
 
 impl JitdStats {
@@ -152,11 +133,6 @@ impl JitdStats {
             rule_matches: vec![0; rule_count],
             rule_rewrites: vec![0; rule_count],
             steps: 0,
-            steal_count: 0,
-            contended_count: 0,
-            parked_count: 0,
-            woken_count: 0,
-            spin_yield_count: 0,
         }
     }
 

@@ -1,39 +1,36 @@
-//! The shared work queue behind the work-stealing reorganizer pool.
+//! The shared work queue behind fleet reorganization.
 //!
-//! PR 4 gave every shard a dedicated background worker
-//! ([`AsyncJitd`](crate::AsyncJitd)): simple, but wasteful exactly when
-//! it matters — under skew (fleet workload I: 20% of the trees take 80%
-//! of the churn) the cold shards' workers spin uselessly while the hot
-//! shards' backlogs are each stuck behind a single thread. This module
-//! replaces the one-worker-per-shard model with a **shared queue of
-//! shard-granularity work items** drained by a configurable pool:
+//! One worker pinned to each shard is wasteful exactly when it matters —
+//! under skew (fleet workload I: 20% of the trees take 80% of the
+//! churn) the cold shards' workers idle while the hot shards' backlogs
+//! are each stuck behind a single thread. [`AsyncJitd`](crate::AsyncJitd)
+//! instead schedules **shard-granularity work items** through one shared
+//! queue, drained by the caller or by a configurable pool:
 //!
 //! - **Enqueue on heat.** Operations that dirty a shard bump its heat
 //!   counter ([`WorkQueue::note_heat`]); when the counter crosses the
 //!   configured threshold the shard is enqueued — at most once
 //!   (an `in_queue` flag per shard), so the queue length is bounded by
 //!   the shard count no matter how hot a shard runs.
-//! - **Claim by try-lock.** A worker pops a shard and *tries* its
+//! - **Claim by try-lock.** A pool worker pops a shard and *tries* its
 //!   `parking_lot` mutex. On contention — the operation path or another
 //!   worker holds it — the item is requeued and the worker moves on
 //!   ([`WorkQueue::requeue_contended`]), so a stalled shard can never
 //!   head-of-line-block the pool.
 //! - **Short critical sections.** A claim performs one reorganization
 //!   round and releases; if the round fired, the shard is requeued.
-//!   Operations therefore interleave with reorganization at the same
-//!   granularity as the dedicated-worker model.
+//!   Operations therefore interleave with reorganization one round at
+//!   a time.
 //!
 //! The queue also keeps the pool's ledger: [`StealStats::steal_count`]
 //! (items drained by a worker other than the shard's home worker,
 //! `shard mod workers`) and [`StealStats::contended_count`] (try-lock
 //! misses). Those counters surface through
-//! [`JitdStats`](crate::JitdStats) into the `tt-bench` JSON cells.
+//! [`AsyncJitd::steal_stats`](crate::AsyncJitd::steal_stats) into the
+//! `tt-bench` JSON cells.
 //!
 //! Everything here is shard-*id* bookkeeping — the queue never touches a
-//! runtime. [`AsyncJitd::spawn_stealing`](crate::AsyncJitd::spawn_stealing)
-//! wires it to real workers, and the single-threaded
-//! [`JitdFleet`](crate::JitdFleet) scheduler reuses the same policy
-//! without the atomics.
+//! runtime.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -43,13 +40,14 @@ use std::time::Duration;
 /// Tuning knobs of a work-stealing reorganizer pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StealConfig {
-    /// Worker threads draining the shared queue. The interesting regime
-    /// is `workers < shards` — fewer threads than the dedicated model,
-    /// yet hot shards get serviced by *any* free worker.
+    /// Worker threads draining the shared queue. 0 starts none: the
+    /// caller drains inline, deterministically. The interesting threaded
+    /// regime is `workers < shards` — fewer threads than shards, yet hot
+    /// shards get serviced by *any* free worker.
     pub workers: usize,
     /// Dirtying operations a shard absorbs before it is enqueued. 1
-    /// enqueues on every write (the dedicated model's eagerness);
-    /// larger values let cold shards ride along unqueued.
+    /// enqueues on every write; larger values let cold shards ride
+    /// along unqueued.
     pub heat_threshold: u64,
 }
 
@@ -68,7 +66,7 @@ impl Default for StealConfig {
 pub struct StealStats {
     /// Work items drained by a worker that was not the shard's *home*
     /// worker (`shard mod workers`) — the steals that give the pool its
-    /// name. Zero under a dedicated-worker deployment by definition.
+    /// name. Zero when the caller drains inline (there is no pool).
     pub steal_count: u64,
     /// Claims that failed because the shard's mutex was held (by the
     /// operation path or a peer) and the item was requeued instead of
@@ -93,10 +91,8 @@ pub struct StealStats {
 /// per-shard dedup, heat accounting, and steal/contention counters.
 ///
 /// The queue is deliberately FIFO: heat *admits* a shard (threshold),
-/// arrival order schedules it. Priority ordering lives where it is
-/// cheap — the single-threaded fleet scheduler and the forest engine's
-/// `find_anywhere` probe order — while the threaded pool keeps its
-/// critical section to a push/pop.
+/// arrival order schedules it, and the critical section stays a
+/// push/pop.
 #[derive(Debug)]
 pub struct WorkQueue {
     queue: Mutex<VecDeque<usize>>,
@@ -164,14 +160,6 @@ impl WorkQueue {
             // already inside `pop_blocking` holding the lock (it will
             // see the item on its recheck) or parked (it receives this).
             self.available.notify_one();
-        }
-    }
-
-    /// Enqueues every shard (the initial backlog: freshly loaded arrays
-    /// all want cracking).
-    pub fn enqueue_all(&self) {
-        for shard in 0..self.in_queue.len() {
-            self.enqueue(shard);
         }
     }
 
@@ -352,14 +340,6 @@ mod tests {
         q.requeue_contended(4);
         assert_eq!(q.stats().contended_count, 1);
         assert_eq!(q.pop(), Some(4), "contended item went back on queue");
-    }
-
-    #[test]
-    fn enqueue_all_seeds_the_initial_backlog() {
-        let q = WorkQueue::new(3, 1);
-        q.enqueue_all();
-        assert_eq!(q.len(), 3);
-        assert_eq!((q.pop(), q.pop(), q.pop()), (Some(0), Some(1), Some(2)));
     }
 
     #[test]

@@ -24,10 +24,12 @@
 //!   epoch, then recycles the slot as a fresh empty tree.
 
 use crate::protocol::{ErrorCode, Request, Response, SessionSnapshot};
-use std::sync::Mutex;
-use treetoaster_core::FleetConfig;
+use std::sync::{Arc, Mutex};
+use treetoaster_core::{FleetConfig, RuleSet};
 use tt_ast::Record;
-use tt_jitd::{AsyncJitd, CommitMode, Jitd, RuleConfig, StealConfig, StrategyKind, WorkerMode};
+use tt_jitd::{
+    jitd_schema, paper_rules, AsyncJitd, CommitMode, Jitd, RuleConfig, StealConfig, StrategyKind,
+};
 use tt_ycsb::Op;
 
 /// Per-slot session state.
@@ -63,7 +65,8 @@ pub struct Daemon {
     pool: AsyncJitd,
     sessions: Mutex<SessionTable>,
     kind: StrategyKind,
-    rules: RuleConfig,
+    /// The paper's rules, compiled once and shared by every session.
+    rules: Arc<RuleSet>,
 }
 
 impl Daemon {
@@ -76,17 +79,20 @@ impl Daemon {
     /// `config.heat_threshold`, and the asynchronous commit pipeline.
     pub fn new(kind: StrategyKind, config: FleetConfig) -> Daemon {
         let sessions = config.sessions.max(1);
-        let rules = RuleConfig {
-            crack_threshold: config.engine.crack_threshold,
-        };
-        let pool = AsyncJitd::spawn_parts_with(
-            kind,
-            rules,
-            vec![Vec::new(); sessions],
-            WorkerMode::Stealing(StealConfig {
+        let rules = Arc::new(paper_rules(
+            &jitd_schema(),
+            RuleConfig {
+                crack_threshold: config.engine.crack_threshold,
+            },
+        ));
+        let pool = AsyncJitd::spawn(
+            (0..sessions)
+                .map(|_| Jitd::with_rules(kind, rules.clone(), Vec::new()))
+                .collect(),
+            StealConfig {
                 workers: config.workers.max(1),
                 heat_threshold: config.heat_threshold,
-            }),
+            },
             CommitMode::Async,
         );
         Daemon {
@@ -172,14 +178,14 @@ impl Daemon {
         let preload: Vec<Record> = (0..records as i64)
             .map(|k| Record::new(k, k.wrapping_mul(7) ^ seed as i64))
             .collect();
-        let (kind, rules) = (self.kind, self.rules);
+        let fresh = Jitd::with_rules(self.kind, self.rules.clone(), preload);
         self.pool.with_shard(shard, |j| {
             debug_assert_eq!(
                 j.index().scan(i64::MIN, 1).len(),
                 0,
                 "recycled slot not empty"
             );
-            *j = Jitd::new(kind, rules, preload);
+            *j = fresh;
         });
         // Stage all later writes in epochs: open the first one now.
         self.pool.begin_batch_on(shard);
@@ -294,7 +300,7 @@ impl Daemon {
     /// Quiesces one shard and recycles it as a fresh empty tree.
     /// Returns the rewrites the session absorbed over its lifetime.
     fn drain_shard(&self, shard: usize) -> u64 {
-        let (kind, rules) = (self.kind, self.rules);
+        let (kind, rules) = (self.kind, &self.rules);
         self.pool.with_shard(shard, |j| {
             // Land the open epoch (this also applies any sealed one:
             // epochs land in submission order), drain the rewrite
@@ -304,7 +310,7 @@ impl Daemon {
             j.reorganize_until_quiet(u64::MAX);
             j.apply_submitted();
             let rewrites = j.stats.steps;
-            *j = Jitd::new(kind, rules, Vec::new());
+            *j = Jitd::with_rules(kind, rules.clone(), Vec::new());
             rewrites
         })
     }

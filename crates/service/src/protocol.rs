@@ -500,32 +500,68 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 
 /// Reads one length-prefixed frame. `Ok(None)` is a clean end of
 /// stream (EOF on the length-prefix boundary); EOF mid-frame and an
-/// oversized announcement are errors.
+/// oversized announcement are errors. A read error loses the bytes
+/// already read; a reader with a timeout keeps a [`FrameReader`]
+/// instead.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut len[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    FrameError::Truncated.to_string(),
-                ))
+    FrameReader::default().read_frame(r)
+}
+
+/// A resumable frame reader: the bytes of a partly read frame survive
+/// a read error (a `WouldBlock`/`TimedOut` under a socket timeout, say),
+/// so the next call picks the frame up where the failed one stopped
+/// instead of parsing mid-frame bytes as a length prefix.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    /// The frame so far: length prefix, then payload.
+    buf: Vec<u8>,
+    /// Bytes of `buf` already read.
+    filled: usize,
+}
+
+impl FrameReader {
+    /// Reads the next frame, resuming a partly read one; same results
+    /// as [`read_frame`].
+    pub fn read_frame(&mut self, r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+        if self.buf.len() < 4 {
+            self.buf.resize(4, 0);
+        }
+        while self.filled < 4 {
+            if !self.fill(r, 4)? {
+                return Ok(None);
             }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+        }
+        let len = u32::from_le_bytes(self.buf[..4].try_into().unwrap()) as usize;
+        if len > MAX_FRAME {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                FrameError::Oversized.to_string(),
+            ));
+        }
+        self.buf.resize(4 + len, 0);
+        while self.filled < 4 + len {
+            self.fill(r, 4 + len)?;
+        }
+        let payload = self.buf.split_off(4);
+        self.filled = 0;
+        Ok(Some(payload))
+    }
+
+    /// One read toward `buf[..want]`. `Ok(false)` is a clean end of
+    /// stream: EOF before the frame's first byte.
+    fn fill(&mut self, r: &mut impl Read, want: usize) -> io::Result<bool> {
+        match r.read(&mut self.buf[self.filled..want]) {
+            Ok(0) if self.filled == 0 => Ok(false),
+            Ok(0) => Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                FrameError::Truncated.to_string(),
+            )),
+            Ok(n) => {
+                self.filled += n;
+                Ok(true)
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(true),
+            Err(e) => Err(e),
         }
     }
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            FrameError::Oversized.to_string(),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
 }

@@ -8,7 +8,7 @@
 //! is a complete debug client.
 
 use crate::daemon::{Daemon, DrainReport};
-use crate::protocol::{read_frame, write_frame, ErrorCode, Request, Response};
+use crate::protocol::{write_frame, ErrorCode, FrameReader, Request, Response};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -105,12 +105,15 @@ fn serve_connection(stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) -> io
 }
 
 fn serve_binary(mut stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) -> io::Result<()> {
+    // Owned by the connection so a frame cut by the read timeout
+    // resumes on the next pass instead of desynchronizing the stream.
+    let mut frames = FrameReader::default();
     loop {
         let payload = loop {
             if stop.load(Ordering::Acquire) {
                 return Ok(());
             }
-            match read_frame(&mut stream) {
+            match frames.read_frame(&mut stream) {
                 Ok(Some(payload)) => break payload,
                 Ok(None) => return Ok(()),
                 Err(e)

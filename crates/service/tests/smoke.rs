@@ -82,14 +82,14 @@ fn n_concurrent_sessions_equal_n_independent_engines() {
     });
 
     // …and every session must be structurally identical to the others:
-    // same lookups, same rewrite count, same staged/canceled counters,
-    // same strategy memory. Concurrency must not leak between shards.
+    // same lookups, same rewrite count, same strategy memory, same
+    // match backlog. Concurrency must not leak between shards.
     let (values0, snap0) = &results[0];
     assert!(values0.iter().all(Option::is_some), "preloaded keys found");
     assert!(snap0.rewrites > 0, "ticks must have reorganized");
     for (i, (values, snap)) in results.iter().enumerate() {
         assert_eq!(values, values0, "session {i} lookups diverged");
-        assert_eq!(snap, snap0, "session {i} counters diverged");
+        assert_same_state(snap, snap0, &format!("session {i}"));
     }
 
     // A serially driven fresh daemon agrees too: concurrency changed
@@ -104,7 +104,29 @@ fn n_concurrent_sessions_equal_n_independent_engines() {
     };
     let (solo_values, solo_snap) = drive_session(&solo, s);
     assert_eq!(&solo_values, values0);
-    assert_eq!(&solo_snap, snap0);
+    assert_same_state(&solo_snap, snap0, "solo daemon");
+}
+
+/// Compares the schedule-invariant part of two session snapshots.
+/// `staged`/`canceled` describe the shard's latest epoch, and which
+/// epoch that is depends on when the background committer landed the
+/// previous seal — telemetry, not state — so they only have to be
+/// self-consistent.
+fn assert_same_state(snap: &SessionSnapshot, want: &SessionSnapshot, who: &str) {
+    assert_eq!(snap.rewrites, want.rewrites, "{who}: rewrites diverged");
+    assert_eq!(
+        snap.memory_bytes, want.memory_bytes,
+        "{who}: strategy memory diverged"
+    );
+    assert_eq!(
+        snap.pending_matches, want.pending_matches,
+        "{who}: match backlog diverged"
+    );
+    assert!(snap.staged > 0, "{who}: the epoch staged nothing: {snap:?}");
+    assert!(
+        snap.canceled <= snap.staged,
+        "{who}: canceled more deltas than staged: {snap:?}"
+    );
 }
 
 #[test]
@@ -305,5 +327,54 @@ fn client_surfaces_server_errors() {
         other => panic!("expected a server error, got {other:?}"),
     }
     client.stop().unwrap();
+    running.join().unwrap();
+}
+
+/// A frame cut by the server's 100 ms read timeout — inside the length
+/// prefix, then inside a payload — must resume where it stopped: the
+/// bytes read before the timeout are kept, not dropped and the rest
+/// misread as a new length prefix.
+#[test]
+fn frames_split_across_read_timeouts_stay_in_sync() {
+    use std::io::Write;
+    use tt_service::{read_frame, write_frame};
+    let daemon = Arc::new(Daemon::new(StrategyKind::TreeToaster, cold_fleet(1)));
+    let server = Server::bind("127.0.0.1:0", daemon).unwrap();
+    let addr = server.local_addr().unwrap();
+    let running = std::thread::spawn(move || server.run().unwrap());
+
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let pause = std::time::Duration::from_millis(250);
+    let mut send_split = |req: &Request, cut: usize| {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &req.encode()).unwrap();
+        stream.write_all(&wire[..cut]).unwrap();
+        std::thread::sleep(pause);
+        stream.write_all(&wire[cut..]).unwrap();
+        let payload = read_frame(&mut stream).unwrap().expect("a response frame");
+        Response::decode(&payload).unwrap()
+    };
+    // Two bytes of the four-byte length prefix, then the rest.
+    let opened = send_split(
+        &Request::Open {
+            records: 8,
+            seed: 1,
+        },
+        2,
+    );
+    let Response::Opened { session } = opened else {
+        panic!("open answered {opened:?}");
+    };
+    // The prefix and two payload bytes, then the rest.
+    let replace = Request::Replace {
+        session,
+        key: 3,
+        value: 42,
+    };
+    assert_eq!(send_split(&replace, 6), Response::Replaced);
+    let find = Request::Find { session, key: 3 };
+    assert_eq!(send_split(&find, 2), Response::Found { value: Some(42) });
+    assert_eq!(send_split(&Request::Stop, 2), Response::Stopping);
     running.join().unwrap();
 }

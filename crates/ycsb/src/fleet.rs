@@ -11,7 +11,7 @@
 //! |----------|--------------------------------------------------|----------|
 //! | G        | **burst-of-plans**: runs of consecutive ops land on one tree, then the burst moves on (round-robin) — the Spark shape | A (50/50 read/update, zipfian) |
 //! | H        | **steady-churn**: every op picks a tree uniformly at random — the Orca stream shape | A (50/50 read/update, zipfian) |
-//! | I        | **skewed-churn**: a hot minority of trees (20%) absorbs most of the stream (80%) — the shape where work-stealing reorganization beats one dedicated worker per shard | A (50/50 read/update, zipfian) |
+//! | I        | **skewed-churn**: a hot minority of trees (20%) absorbs most of the stream (80%) — the shape where a work-stealing pool keeps up with one worker per shard | A (50/50 read/update, zipfian) |
 //!
 //! All are deterministic under a seed, like the single-tree workloads.
 
@@ -87,8 +87,8 @@ impl FleetSpec {
             },
             // Skewed churn: 20% of the trees take 80% of the ops — the
             // scheduling shape where a work-stealing reorganizer pool
-            // beats a dedicated worker per shard (the cold shards'
-            // workers idle while the hot shards' backlogs grow).
+            // keeps up with one worker per shard (pinned workers idle on
+            // the cold shards while the hot shards' backlogs grow).
             'I' => FleetSpec {
                 name,
                 trees,
@@ -264,8 +264,8 @@ mod tests {
             (share - 0.8).abs() < 0.05,
             "hot set got {share:.2} of the stream, expected ~0.80"
         );
-        // Cold trees still see traffic (the dedicated-worker baseline
-        // must have something to do on every shard).
+        // Cold trees still see traffic (the one-worker-per-shard
+        // baseline must have something to do on every shard).
         for t in 2..10 {
             assert!(ops.iter().any(|f| f.tree == t), "cold tree {t} starved");
         }

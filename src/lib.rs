@@ -35,17 +35,17 @@
 //!
 //! ## Quickstart
 //!
-//! An optimizer never holds just one plan, so the front door is the
-//! forest: a fleet of independent trees, one strategy instance per
-//! shard, one shared compiled rule set, and a priority fleet search.
+//! The paper's running example first: one rule, one tree, one
+//! TreeToaster engine whose view holds every eligible node.
 //!
 //! ```
 //! use std::sync::Arc;
 //! use treetoaster::prelude::*;
 //! use treetoaster::pattern::dsl;
 //! use treetoaster::core::generator;
+//! use treetoaster::jitd::{jitd_schema, paper_rules, CommitMode, StealConfig};
 //!
-//! // The paper's running example: eliminate additions of zero.
+//! // Eliminate additions of zero.
 //! let schema = treetoaster::ast::schema::arith_schema();
 //! let pattern = Pattern::compile(&schema, dsl::node(
 //!     "Arith", "A",
@@ -54,37 +54,44 @@
 //!     dsl::eq(dsl::attr("A", "op"), dsl::str_("+")),
 //! ));
 //! let rule = RewriteRule::new("AddZero", &schema, pattern, generator::reuse("C"));
-//! let rules = Arc::new(RuleSet::from_rules(vec![rule]));
+//! let mut ast = Ast::new(schema.clone());
+//! let root = treetoaster::ast::sexpr::parse_sexpr(
+//!     &mut ast, r#"(Arith op="+" (Const val=0) (Var name="x"))"#).unwrap();
+//! ast.set_root(root);
+//! let mut engine = TreeToasterEngine::new(Arc::new(RuleSet::from_rules(vec![rule])));
+//! engine.rebuild(&ast);
+//! assert_eq!(engine.view(0).len(), 1);
+//! assert_eq!(engine.find_one(&ast, 0), Some(root));
 //!
-//! // A fleet of three plans; only the second contains the pattern.
-//! let mut forest = Forest::new(schema.clone());
-//! for text in [r#"(Var name="a")"#,
-//!              r#"(Arith op="+" (Const val=0) (Var name="x"))"#,
-//!              r#"(Const val=3)"#] {
-//!     let id = forest.add_tree();
-//!     let root = treetoaster::ast::sexpr::parse_sexpr(
-//!         forest.tree_mut(id), text).unwrap();
-//!     forest.tree_mut(id).set_root(root);
-//! }
-//!
-//! // One TreeToaster engine per shard over the shared rule set: every
-//! // shard gets its own views and its own epochs.
-//! let mut engine: ForestEngine<TreeToasterEngine> =
-//!     ForestEngine::from_forest(rules, &forest, |r, _| TreeToasterEngine::new(r));
-//! engine.rebuild(&forest);
-//!
-//! // The fleet search is a priority scan (hot shards probed first) and
-//! // answers with a globally addressed match.
-//! let hit = engine.find_anywhere(&forest, 0).expect("one plan matches");
-//! assert_eq!(hit.tree, TreeId::from_index(1));
-//! assert_eq!(engine.shard(hit.tree).view(0).len(), 1);
+//! // An optimizer never holds just one plan. A fleet is many runtimes
+//! // over one compiled rule set — here the paper's JITD rules, one
+//! // key/value index per plan, each with its own views and epochs.
+//! let rules = Arc::new(paper_rules(&jitd_schema(), RuleConfig { crack_threshold: 8 }));
+//! let plans: Vec<Jitd> = (0..3)
+//!     .map(|t| {
+//!         let records = (0..32).map(|k| Record::new(k, k * 10 + t)).collect();
+//!         Jitd::with_rules(StrategyKind::TreeToaster, rules.clone(), records)
+//!     })
+//!     .collect();
+//! // `workers: 0` starts no thread: the caller drains the fleet's work
+//! // queue inline (a pool of `workers > 0` threads drains the same
+//! // queue in the background).
+//! let steal = StealConfig { workers: 0, heat_threshold: 1 };
+//! let fleet = AsyncJitd::spawn(plans, steal, CommitMode::Sync);
+//! assert_eq!(fleet.reorg_backlog(), 3, "freshly loaded plans want cracking");
+//! assert!(fleet.reorganize_pending(u64::MAX) > 0);
+//! // A write heats only its own plan, so only that plan is queued.
+//! fleet.execute_on(1, &Op::Insert { key: 99, value: 7 });
+//! assert_eq!(fleet.reorg_backlog(), 1);
+//! fleet.reorganize_pending(u64::MAX);
+//! assert_eq!(fleet.with_shard(1, |j| j.index().get(99)), Some(7));
+//! assert_eq!(fleet.with_shard(0, |j| j.index().get(99)), None);
 //! ```
 //!
-//! The single-tree engine is the degenerate one-shard case
-//! (`TreeToasterEngine::rebuild` + `find_one` over a plain [`ast::Ast`]);
-//! `jitd::JitdFleet` wraps the forest in the paper's key/value evaluation
-//! bed, and `jitd::AsyncJitd` adds background reorganization — dedicated
-//! workers or a work-stealing pool (`jitd::steal`).
+//! `jitd::AsyncJitd` is the one multi-tree runtime: drained inline as
+//! above (the deterministic bed of the fleet benchmarks), or by a
+//! work-stealing pool of background threads (`jitd::steal`) — the
+//! deployment the `tt-serve` daemon runs.
 
 pub use treetoaster_core as core;
 pub use tt_ast as ast;
@@ -101,14 +108,12 @@ pub use tt_ycsb as ycsb;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use treetoaster_core::{
-        EngineConfig, EpochOps, FleetConfig, ForestEngine, MatchCore, MatchSource, MatchView,
-        ReplaceCtx, RewriteRule, RuleFired, RuleSet, TreeToasterEngine,
+        EngineConfig, EpochOps, FleetConfig, MatchCore, MatchSource, MatchView, ReplaceCtx,
+        RewriteRule, RuleFired, RuleSet, TreeToasterEngine,
     };
-    pub use tt_ast::{
-        Ast, Forest, GenMultiset, GlobalNodeId, NodeId, Record, Schema, TreeId, Value,
-    };
+    pub use tt_ast::{Ast, GenMultiset, NodeId, Record, Schema, Value};
     pub use tt_ivm::{ClassicIvm, DbtIvm};
-    pub use tt_jitd::{AsyncJitd, Jitd, JitdFleet, JitdIndex, RuleConfig, StrategyKind};
+    pub use tt_jitd::{AsyncJitd, Jitd, JitdIndex, RuleConfig, StrategyKind};
     pub use tt_labelindex::LabelIndex;
     pub use tt_pattern::{match_node, match_set, Bindings, Pattern};
     pub use tt_service::{Client, Daemon, Server, ServiceError};

@@ -1,19 +1,21 @@
 //! The commit-pipeline transparency contract: sealing an epoch for a
-//! background committer must be *semantically invisible*.
+//! committer must be *semantically invisible*.
 //!
 //! The pipelined commit splits `commit_batch` into a seal
-//! ([`JitdFleet::submit_commit`]) on the op path and a deferred apply
-//! ([`JitdFleet::apply_next_commit`]) on the committer's schedule.
-//! Readers in between are served by the overlay (`view ⊕ sealed ⊕
-//! pending`), and the strategy's one-epoch-in-flight backpressure
-//! guarantees sealed epochs land in order. This suite drives the same
-//! fleet op stream through two [`JitdFleet`]s:
+//! ([`AsyncJitd::submit_commit_on`] under [`CommitMode::Async`]) on the
+//! op path and a deferred apply ([`AsyncJitd::drain_commits`]) on the
+//! committer's schedule. Readers in between are served by the overlay
+//! (`view ⊕ sealed ⊕ pending`), and the strategy's one-epoch-in-flight
+//! backpressure guarantees sealed epochs land in order. This suite
+//! drives the same fleet op stream through two inline fleets
+//! (`workers: 0` — no committer thread, so the caller decides exactly
+//! when seals land):
 //!
-//! - **inline**: every epoch closes with `commit_batch` (the classic
-//!   synchronous path);
-//! - **piped**: every epoch closes with `submit_commit`, and the sealed
-//!   epoch is applied one epoch *later* — after the next epoch's
-//!   operations and rewrites have already run against the overlay.
+//! - **inline**: every epoch closes with an inline commit
+//!   ([`CommitMode::Sync`], the classic synchronous path);
+//! - **piped**: every epoch closes with a seal, and the sealed epoch is
+//!   applied one epoch *later* — after the next epoch's operations and
+//!   rewrites have already run against the overlay.
 //!
 //! The two runs must agree structurally: identical per-tree
 //! s-expressions, identical reads, identical rewrite counts. Any
@@ -25,10 +27,10 @@
 //! `async_committer_overlaps_the_op_stream` below.
 
 use proptest::prelude::*;
-use treetoaster::ast::{Record, TreeId};
-use treetoaster::jitd::steal::StealConfig;
-use treetoaster::jitd::{CommitMode, JitdFleet, WorkerMode};
-use treetoaster::prelude::{AsyncJitd, RuleConfig, StrategyKind};
+use std::sync::Arc;
+use treetoaster::ast::Record;
+use treetoaster::jitd::{jitd_schema, paper_rules, CommitMode, StealConfig};
+use treetoaster::prelude::{AsyncJitd, Jitd, RuleConfig, StrategyKind};
 use treetoaster::ycsb::{FleetSpec, FleetWorkload, Op};
 
 const RECORDS_PER_TREE: i64 = 40;
@@ -39,18 +41,35 @@ fn preload(t: usize) -> Vec<Record> {
         .collect()
 }
 
-fn new_fleet(strategy: StrategyKind, trees: usize) -> JitdFleet {
-    let mut fleet = JitdFleet::new(strategy, RuleConfig { crack_threshold: 8 }, trees, preload);
-    for t in 0..trees {
-        fleet.reorganize_until_quiet(TreeId::from_index(t as u32), u64::MAX);
-    }
-    fleet
+/// A fleet of `parts.len()` shards over one rule set.
+fn fleet(
+    strategy: StrategyKind,
+    parts: Vec<Vec<Record>>,
+    workers: usize,
+    commit: CommitMode,
+) -> AsyncJitd {
+    let rules = Arc::new(paper_rules(
+        &jitd_schema(),
+        RuleConfig { crack_threshold: 8 },
+    ));
+    let shards = parts
+        .into_iter()
+        .map(|part| Jitd::with_rules(strategy, rules.clone(), part))
+        .collect();
+    // The threaded anchor keeps its pool cold (the threshold is never
+    // crossed); the inline fleets never start a thread at all.
+    let steal = StealConfig {
+        workers,
+        heat_threshold: u64::MAX,
+    };
+    AsyncJitd::spawn(shards, steal, commit)
 }
 
 /// Runs `ops` operations of fleet workload `family` in `epoch`-op
-/// epochs. `piped` closes each epoch with `submit_commit` and defers the
+/// epochs on an inline fleet. `piped` seals each epoch and defers the
 /// apply until after the *next* epoch has run (final epochs drain at the
-/// end); otherwise each epoch closes with an inline `commit_batch`.
+/// end); otherwise each epoch closes with an inline commit. Returns the
+/// fleet, drained and cracked.
 fn run(
     strategy: StrategyKind,
     family: char,
@@ -59,14 +78,21 @@ fn run(
     ops: usize,
     epoch: usize,
     piped: bool,
-) -> JitdFleet {
-    let mut fleet = new_fleet(strategy, trees);
+) -> AsyncJitd {
+    let commit = if piped {
+        CommitMode::Async
+    } else {
+        CommitMode::Sync
+    };
+    let fleet = fleet(strategy, (0..trees).map(preload).collect(), 0, commit);
+    for t in 0..trees {
+        fleet.with_shard(t, |j| j.reorganize_until_quiet(u64::MAX));
+    }
     let mut driver = FleetWorkload::new(
         FleetSpec::standard(family, trees),
         RECORDS_PER_TREE as u64,
         seed,
     );
-    let ids: Vec<TreeId> = fleet.tree_ids().collect();
     let mut done = 0usize;
     while done < ops {
         // One epoch lags in the pipeline: the previous epoch's sealed
@@ -74,14 +100,14 @@ fn run(
         if piped {
             fleet.drain_commits();
         }
-        for &t in &ids {
-            fleet.begin_batch(t);
+        for t in 0..trees {
+            fleet.begin_batch_on(t);
         }
         let n = epoch.min(ops - done);
         let mut written: Vec<usize> = Vec::new();
         for _ in 0..n {
             let fop = driver.next_op();
-            fleet.execute(TreeId::from_index(fop.tree as u32), &fop.op);
+            fleet.execute_on(fop.tree, &fop.op);
             if !written.contains(&fop.tree) {
                 written.push(fop.tree);
             }
@@ -93,37 +119,48 @@ fn run(
         // traffic needs epochs that close mid-optimization and carry
         // backlog forward.
         for t in written {
-            fleet.reorganize_round(TreeId::from_index(t as u32));
+            fleet.with_shard(t, |j| j.reorganize_round());
         }
-        for &t in &ids {
-            if piped {
-                fleet.submit_commit(t);
-            } else {
-                fleet.commit_batch(t);
-            }
+        for t in 0..trees {
+            fleet.submit_commit_on(t);
         }
         done += n;
     }
     if piped {
         fleet.drain_commits();
-        assert_eq!(fleet.commits_pending(), 0, "committer left a backlog");
+        assert!(!fleet.commits_pending(), "committer left a backlog");
     }
     fleet
 }
 
-fn assert_structurally_equal(a: &JitdFleet, b: &JitdFleet, trees: usize) {
-    assert_eq!(a.stats.steps, b.stats.steps, "rewrite counts diverged");
-    for t in 0..trees {
-        let tree = TreeId::from_index(t as u32);
-        let (ia, ib) = (a.index_of(tree), b.index_of(tree));
-        assert_eq!(
-            treetoaster::ast::sexpr::to_sexpr(ia.ast(), ia.ast().root()),
-            treetoaster::ast::sexpr::to_sexpr(ib.ast(), ib.ast().root()),
-            "tree {t} structural divergence"
-        );
-        for key in 0..RECORDS_PER_TREE + 16 {
-            assert_eq!(ia.get(key), ib.get(key), "tree {t} read diverged at {key}");
-        }
+fn assert_structurally_equal(a: &AsyncJitd, b: &AsyncJitd) {
+    let steps = |f: &AsyncJitd| {
+        (0..f.shard_count())
+            .map(|t| f.with_shard(t, |j| j.stats.steps))
+            .sum::<u64>()
+    };
+    assert_eq!(steps(a), steps(b), "rewrite counts diverged");
+    for t in 0..a.shard_count() {
+        let shape = |f: &AsyncJitd| {
+            f.with_shard(t, |j| {
+                let ast = j.index().ast();
+                let reads: Vec<Option<i64>> = (0..RECORDS_PER_TREE + 16)
+                    .map(|key| j.index().get(key))
+                    .collect();
+                (treetoaster::ast::sexpr::to_sexpr(ast, ast.root()), reads)
+            })
+        };
+        let ((sa, ra), (sb, rb)) = (shape(a), shape(b));
+        assert_eq!(sa, sb, "tree {t} structural divergence");
+        assert_eq!(ra, rb, "tree {t} reads diverged");
+    }
+}
+
+fn check_consistent(fleet: &AsyncJitd) {
+    for t in 0..fleet.shard_count() {
+        fleet
+            .with_shard(t, |j| j.check_strategy_consistent())
+            .unwrap_or_else(|e| panic!("tree {t}: {e}"));
     }
 }
 
@@ -146,32 +183,37 @@ proptest! {
         let epoch = [1usize, 8, usize::MAX][epoch_idx];
         let inline = run(strategy, family, trees, seed, 72, epoch, false);
         let piped = run(strategy, family, trees, seed, 72, epoch, true);
-        assert_structurally_equal(&inline, &piped, trees);
-        inline.check_strategy_consistent().unwrap();
-        piped.check_strategy_consistent().unwrap();
+        assert_structurally_equal(&inline, &piped);
+        check_consistent(&inline);
+        check_consistent(&piped);
     }
 }
 
 /// Fixed-seed anchor (always runs, easy to bisect): the skewed fleet
 /// workload with 8-op epochs must produce identical fleets *and* the
-/// piped run must actually defer applies — every submit lands through
-/// the pending-commit queue, advancing per-tree generations.
+/// piped run must actually defer applies — every seal lands through the
+/// caller's drain, advancing per-tree generations.
 #[test]
 fn pipelined_anchor_defers_applies_and_stays_equal() {
     let trees = 4;
-    let mut inline = run(StrategyKind::TreeToaster, 'I', trees, 77, 144, 8, false);
-    let mut piped = run(StrategyKind::TreeToaster, 'I', trees, 77, 144, 8, true);
-    assert_structurally_equal(&inline, &piped, trees);
-    let landed: u64 = (0..trees)
-        .map(|t| piped.committed_generation(TreeId::from_index(t as u32)))
-        .sum();
+    let inline = run(StrategyKind::TreeToaster, 'I', trees, 77, 144, 8, false);
+    let piped = run(StrategyKind::TreeToaster, 'I', trees, 77, 144, 8, true);
+    assert_structurally_equal(&inline, &piped);
+    let landed: u64 = (0..trees).map(|t| piped.committed_generation(t)).sum();
     assert!(
         landed > 0,
-        "the piped run never landed an epoch through the committer queue"
+        "the piped run never landed an epoch through the commit queue"
     );
-    inline.agreement_with_naive().unwrap();
-    piped.agreement_with_naive().unwrap();
-    piped.check_structure().unwrap();
+    assert_eq!(landed, piped.commits_applied());
+    assert_eq!(inline.commits_applied(), 0, "inline commits seal nothing");
+    for fleet in [&inline, &piped] {
+        for t in 0..trees {
+            fleet.with_shard(t, |j| {
+                j.agreement_with_naive().unwrap();
+                j.index().check_structure().unwrap();
+            });
+        }
+    }
 }
 
 /// The threaded anchor: a real committer thread lands sealed epochs
@@ -186,14 +228,10 @@ fn async_committer_overlaps_the_op_stream() {
     // epoch deterministically closes mid-backlog with net deltas (a
     // pool racing the epoch to quiescence would cancel them all), and
     // the only background apply is the committer's.
-    let jitd = AsyncJitd::spawn_parts_with(
+    let jitd = fleet(
         StrategyKind::TreeToaster,
-        RuleConfig { crack_threshold: 8 },
         vec![(0..n).map(|k| Record::new(k, k * 7)).collect()],
-        WorkerMode::Stealing(StealConfig {
-            workers: 1,
-            heat_threshold: u64::MAX,
-        }),
+        1,
         CommitMode::Async,
     );
     let mut next_key = n;

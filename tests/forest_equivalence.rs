@@ -1,23 +1,25 @@
-//! The forest isolation contract: a `ForestEngine` over N trees must be
-//! observationally identical to N independent single-tree engines.
+//! The fleet isolation contract: one fleet over N trees must be
+//! observationally identical to N independent single-tree runtimes.
 //!
-//! The multi-tree runtime ([`JitdFleet`]) routes an interleaved fleet
-//! stream (workloads G/H) to per-shard strategies behind one
-//! `ForestEngine`, with per-tree maintenance epochs. The oracle replays
-//! each tree's sub-stream — same per-tree op order, same epoch
-//! boundaries, same reorganization bursts — through a plain single-tree
-//! [`Jitd`]. For every strategy and batch size the two runs must agree
-//! *structurally*: identical final ASTs per tree (s-expression
-//! equality), consistent views/indexes against a from-scratch rebuild,
-//! and identical rewrite counts. Any cross-shard leakage — a delta
-//! staged to the wrong shard's buffer, an epoch commit flushing a
-//! neighbor, shared scratch corrupting bindings — breaks structural
-//! equality immediately.
+//! The fleet ([`AsyncJitd`] at `workers: 0`, drained inline so every run
+//! is deterministic) routes an interleaved fleet stream (workloads G/H)
+//! to per-shard runtimes over one shared rule set, with per-tree
+//! maintenance epochs and one work queue scheduling reorganization. The
+//! oracle replays each tree's sub-stream — same per-tree op order, same
+//! epoch boundaries, same reorganization bursts — through a plain
+//! single-tree [`Jitd`]. For every strategy and batch size the two runs
+//! must agree *structurally*: identical final ASTs per tree
+//! (s-expression equality), consistent views/indexes against a
+//! from-scratch rebuild, and identical rewrite counts. Any cross-shard
+//! leakage — a delta staged to the wrong shard's buffer, an epoch commit
+//! flushing a neighbor, the queue serving the wrong shard — breaks
+//! structural equality immediately.
 
 use proptest::prelude::*;
-use treetoaster::ast::{Record, TreeId};
-use treetoaster::jitd::JitdFleet;
-use treetoaster::prelude::{Jitd, Op, RuleConfig, StrategyKind};
+use std::sync::Arc;
+use treetoaster::ast::Record;
+use treetoaster::jitd::{jitd_schema, paper_rules, CommitMode, StealConfig};
+use treetoaster::prelude::{AsyncJitd, Jitd, Op, RuleConfig, StrategyKind};
 use treetoaster::ycsb::{FleetSpec, FleetWorkload};
 
 const RECORDS_PER_TREE: i64 = 48;
@@ -28,10 +30,11 @@ fn preload(t: usize) -> Vec<Record> {
         .collect()
 }
 
-/// Drives a fleet through `ops` operations of fleet workload `family`
-/// in `batch_size`-op maintenance epochs (per-tree epochs open lazily on
-/// first touch), recording each tree's per-epoch op chunks so the solo
-/// oracle can replay them with identical boundaries.
+/// Drives an inline fleet through `ops` operations of fleet workload
+/// `family` in `batch_size`-op maintenance epochs (per-tree epochs open
+/// lazily on first touch; the queue drains the epoch's backlog before
+/// the touched trees commit), recording each tree's per-epoch op chunks
+/// so the solo oracle can replay them with identical boundaries.
 #[allow(clippy::type_complexity)]
 fn run_fleet(
     strategy: StrategyKind,
@@ -40,17 +43,27 @@ fn run_fleet(
     seed: u64,
     ops: usize,
     batch_size: usize,
-) -> (JitdFleet, Vec<Vec<Vec<Op>>>) {
-    let mut fleet = JitdFleet::new(strategy, RuleConfig { crack_threshold: 8 }, trees, preload);
+) -> (Vec<Jitd>, Vec<Vec<Vec<Op>>>) {
+    let rules = Arc::new(paper_rules(
+        &jitd_schema(),
+        RuleConfig { crack_threshold: 8 },
+    ));
+    let shards = (0..trees)
+        .map(|t| Jitd::with_rules(strategy, rules.clone(), preload(t)))
+        .collect();
+    let steal = StealConfig {
+        workers: 0,
+        heat_threshold: 1,
+    };
+    let fleet = AsyncJitd::spawn(shards, steal, CommitMode::Sync);
     let mut driver = FleetWorkload::new(
         FleetSpec::standard(family, trees),
         RECORDS_PER_TREE as u64,
         seed,
     );
-    // Load-phase cracking per shard, exactly as each solo will do.
-    for t in 0..trees {
-        fleet.reorganize_until_quiet(TreeId::from_index(t as u32), u64::MAX);
-    }
+    // Load-phase cracking: every shard starts queued, and the drain
+    // takes each to quiescence exactly as each solo will.
+    fleet.reorganize_pending(u64::MAX);
     // epochs[t] = the op chunks tree t saw, one entry per epoch that
     // touched it.
     let mut epochs: Vec<Vec<Vec<Op>>> = vec![Vec::new(); trees];
@@ -60,28 +73,25 @@ fn run_fleet(
         let mut touched: Vec<usize> = Vec::new();
         for _ in 0..chunk {
             let fop = driver.next_op();
-            let tree = TreeId::from_index(fop.tree as u32);
             if !touched.contains(&fop.tree) {
                 touched.push(fop.tree);
-                fleet.begin_batch(tree);
+                fleet.begin_batch_on(fop.tree);
                 epochs[fop.tree].push(Vec::new());
             }
-            fleet.execute(tree, &fop.op);
+            fleet.execute_on(fop.tree, &fop.op);
             epochs[fop.tree]
                 .last_mut()
                 .expect("epoch opened")
                 .push(fop.op);
         }
-        touched.sort_unstable();
+        fleet.reorganize_pending(u64::MAX);
+        assert_eq!(fleet.reorg_backlog(), 0, "inline drain left a backlog");
         for &t in &touched {
-            fleet.reorganize_until_quiet(TreeId::from_index(t as u32), u64::MAX);
-        }
-        for &t in &touched {
-            fleet.commit_batch(TreeId::from_index(t as u32));
+            fleet.submit_commit_on(t);
         }
         done += chunk;
     }
-    (fleet, epochs)
+    (fleet.stop().0, epochs)
 }
 
 /// Replays one tree's recorded epochs through an independent single-tree
@@ -113,27 +123,24 @@ fn check_equivalence(
         strategy.label()
     );
     let (mut fleet, epochs) = run_fleet(strategy, family, trees, seed, ops, batch_size);
-    fleet
-        .check_strategy_consistent()
-        .map_err(|e| TestCaseError::fail(format!("{label}: fleet inconsistent: {e}")))?;
-    fleet
-        .agreement_with_naive()
-        .map_err(|e| TestCaseError::fail(format!("{label}: {e}")))?;
-    fleet
-        .check_structure()
-        .map_err(|e| TestCaseError::fail(format!("{label}: {e}")))?;
+    let mut fleet_steps = 0u64;
     let mut solo_steps = 0u64;
-    for (t, tree_epochs) in epochs.iter().enumerate() {
-        let tree = TreeId::from_index(t as u32);
+    for (t, (mine, tree_epochs)) in fleet.iter_mut().zip(&epochs).enumerate() {
+        mine.check_strategy_consistent()
+            .map_err(|e| TestCaseError::fail(format!("{label}: shard {t} inconsistent: {e}")))?;
+        mine.agreement_with_naive()
+            .map_err(|e| TestCaseError::fail(format!("{label}: shard {t}: {e}")))?;
+        mine.index()
+            .check_structure()
+            .map_err(|e| TestCaseError::fail(format!("{label}: shard {t}: {e}")))?;
         let solo = run_solo(strategy, t, tree_epochs);
+        fleet_steps += mine.stats.steps;
         solo_steps += solo.stats.steps;
         solo.check_strategy_consistent()
             .map_err(|e| TestCaseError::fail(format!("{label}: solo {t} inconsistent: {e}")))?;
         // Strongest check first: identical tree structure.
-        let fleet_sexpr = treetoaster::ast::sexpr::to_sexpr(
-            fleet.index_of(tree).ast(),
-            fleet.index_of(tree).ast().root(),
-        );
+        let fleet_sexpr =
+            treetoaster::ast::sexpr::to_sexpr(mine.index().ast(), mine.index().ast().root());
         let solo_sexpr =
             treetoaster::ast::sexpr::to_sexpr(solo.index().ast(), solo.index().ast().root());
         prop_assert_eq!(
@@ -146,7 +153,7 @@ fn check_equivalence(
         // And the key/value semantics over the touched key range.
         for key in 0..RECORDS_PER_TREE + 16 {
             prop_assert_eq!(
-                fleet.index_of(tree).get(key),
+                mine.index().get(key),
                 solo.index().get(key),
                 "{}: tree {} read diverged at key {}",
                 &label,
@@ -156,7 +163,7 @@ fn check_equivalence(
         }
     }
     prop_assert_eq!(
-        fleet.stats.steps,
+        fleet_steps,
         solo_steps,
         "{}: fleet rewrite count != sum of independent engines",
         &label
@@ -167,11 +174,11 @@ fn check_equivalence(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// ForestEngine over N trees == N independent single-tree engines,
+    /// One fleet over N trees == N independent single-tree runtimes,
     /// for all five strategies × batch sizes {1, K, ∞} × both fleet
     /// workload shapes.
     #[test]
-    fn forest_engine_equals_independent_engines(
+    fn fleet_equals_independent_engines(
         seed in 0u64..100_000,
         trees in 2usize..4,
         k in 2usize..16,
