@@ -38,7 +38,7 @@
 //! the emitted config).
 
 use std::process::ExitCode;
-use tt_bench::report::{render_report, validate_report, SweepConfig, BENCH_FILE};
+use tt_bench::report::{publish_report, render_report, SweepConfig, BENCH_FILE};
 use tt_bench::{
     fleet_workloads, paper_workloads, run_commit_pipeline, run_fleet_batched, run_jitd_batched,
     run_rule_scale, run_service, run_steal_pool, BatchRunResult, ExperimentConfig,
@@ -585,13 +585,10 @@ fn main() -> ExitCode {
     let text = render_report(&sweep, &results);
     // Self-check before writing: the runner must never publish a
     // trajectory its own checker would reject (schema, coverage, and
-    // the fleet-scaling gate all run here).
-    if let Err(e) = validate_report(&text) {
-        eprintln!("tt-bench: internal error, emitted report invalid: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = std::fs::write(&args.out, &text) {
-        eprintln!("tt-bench: cannot write {}: {e}", args.out);
+    // the performance gates all run here). A rejected sweep is kept
+    // beside `--out` rather than lost.
+    if let Err(e) = publish_report(&args.out, &text) {
+        eprintln!("tt-bench: {e}");
         return ExitCode::FAILURE;
     }
     eprintln!("tt-bench: wrote {} ({} results)", args.out, results.len());

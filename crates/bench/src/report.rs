@@ -357,6 +357,35 @@ fn require_num(entry: &Json, field: &str, index: usize) -> Result<f64, String> {
     Ok(value)
 }
 
+/// Prefixes a performance gate's failure with the gate's name, so a
+/// rejected report says which gate tripped.
+fn gate(name: &str, verdict: Result<(), String>) -> Result<(), String> {
+    verdict.map_err(|e| format!("{name} gate: {e}"))
+}
+
+/// Writes `text` to `out` only if [`validate_report`] accepts it, so
+/// `out` never holds an invalid report. A rejected report is written to
+/// `<out>.rejected` instead — a long sweep tripped by one noisy gate is
+/// kept for inspection — and the error names the failed check and both
+/// paths.
+pub fn publish_report(out: &str, text: &str) -> Result<ReportSummary, String> {
+    let summary = match validate_report(text) {
+        Ok(summary) => summary,
+        Err(e) => {
+            let rejected = format!("{out}.rejected");
+            let kept = match std::fs::write(&rejected, text) {
+                Ok(()) => format!("rejected report written to {rejected}"),
+                Err(w) => format!("cannot write the rejected report to {rejected}: {w}"),
+            };
+            return Err(format!(
+                "emitted report failed its self-check: {e}; {kept}; {out} left unchanged"
+            ));
+        }
+    };
+    std::fs::write(out, text).map_err(|e| format!("cannot write {out}: {e}"))?;
+    Ok(summary)
+}
+
 /// Validates a rendered report against the CI contract: schema version,
 /// required fields, finite positive latencies, full strategy coverage,
 /// and the acceptance batch sizes {1, 8, 64}.
@@ -643,9 +672,9 @@ pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
                  (saw {g_trees:?}) — the scaling axis needs a slope"
             ));
         }
-        check_fleet_scaling(&g_cells)?;
+        gate("fleet-scaling", check_fleet_scaling(&g_cells))?;
     }
-    check_steal_scheduling(&pool_cells)?;
+    gate("stealing", check_steal_scheduling(&pool_cells))?;
     // Commit-pipeline coverage: a config that promises commit cells
     // (`commit_workloads` non-empty — every post-PR 6 runner) must
     // deliver both commit modes for each promised workload. Pre-PR 6
@@ -674,7 +703,7 @@ pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
             }
         }
     }
-    check_commit_pipeline(&commit_cells)?;
+    gate("commit-pipeline", check_commit_pipeline(&commit_cells))?;
     // Service coverage: a config that promises daemon cells
     // (`service_sessions` non-empty — every post-service runner) must
     // deliver a `mode: "service"` cell at each promised session count.
@@ -727,7 +756,7 @@ pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
             }
         }
     }
-    check_rule_scale(&rule_cells)?;
+    gate("rule-scale", check_rule_scale(&rule_cells))?;
     let mut session_counts: Vec<u64> = service_cells.iter().map(|&(s, _, _)| s).collect();
     session_counts.sort_unstable();
     session_counts.dedup();
@@ -1905,5 +1934,32 @@ mod tests {
         assert!(validate_report("{}").is_err());
         let empty = render_report(&sweep(), &[]);
         assert!(validate_report(&empty).unwrap_err().contains("empty"));
+    }
+
+    #[test]
+    fn publish_keeps_a_rejected_report_beside_out() {
+        let dir = std::env::temp_dir().join(format!("tt-bench-publish-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("BENCH.json").to_string_lossy().into_owned();
+        let rejected = format!("{out}.rejected");
+        // A sweep whose stealing pool breaks the envelope: rejected,
+        // kept beside `out`, `out` never written.
+        let mut results = fake_fleet_results();
+        results.push(pool_cell(8, 12_000));
+        results.push(pool_cell(2, 40_000));
+        let bad = render_report(&fleet_sweep(), &results);
+        let err = publish_report(&out, &bad).unwrap_err();
+        assert!(err.contains("stealing gate"), "{err}");
+        assert!(err.contains(&rejected), "{err}");
+        assert!(!std::path::Path::new(&out).exists());
+        assert_eq!(std::fs::read_to_string(&rejected).unwrap(), bad);
+        // A valid sweep lands at `out`; a later rejected one leaves it
+        // as it was.
+        let good = render_report(&sweep(), &fake_results());
+        assert_eq!(publish_report(&out, &good).unwrap().results, 15);
+        assert_eq!(std::fs::read_to_string(&out).unwrap(), good);
+        publish_report(&out, &bad).unwrap_err();
+        assert_eq!(std::fs::read_to_string(&out).unwrap(), good);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -4,8 +4,8 @@
 //! the [`Request`] vocabulary and surface server-side failures as
 //! [`ServiceError::Server`].
 
-use crate::protocol::{read_frame, write_frame, ErrorCode, Request, Response, SessionSnapshot};
-use std::io;
+use crate::protocol::{write_frame, ErrorCode, FrameReader, Request, Response, SessionSnapshot};
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Client-side failure: transport, codec, or a server-reported error.
@@ -41,8 +41,13 @@ impl From<io::Error> for ServiceError {
 }
 
 /// A connected `tt-serve` client.
+///
+/// Like the server's side of a connection, it writes each request in
+/// one `send` on a `TCP_NODELAY` stream and reads responses through one
+/// `BufReader` and one long-lived [`FrameReader`].
 pub struct Client {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
+    frames: FrameReader,
 }
 
 impl Client {
@@ -50,13 +55,16 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ServiceError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client { stream })
+        Ok(Client {
+            stream: BufReader::new(stream),
+            frames: FrameReader::default(),
+        })
     }
 
     /// One request/response round trip.
     pub fn call(&mut self, req: &Request) -> Result<Response, ServiceError> {
-        write_frame(&mut self.stream, &req.encode())?;
-        let payload = read_frame(&mut self.stream)?.ok_or_else(|| {
+        write_frame(self.stream.get_mut(), &req.encode())?;
+        let payload = self.frames.read_frame(&mut self.stream)?.ok_or_else(|| {
             ServiceError::Protocol("server closed the connection mid-call".into())
         })?;
         let resp = Response::decode(&payload).map_err(|e| ServiceError::Protocol(e.to_string()))?;

@@ -485,7 +485,11 @@ impl Response {
     }
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame with a single `write_all`: the
+/// prefix and payload leave in one buffer, so a socket sends them as one
+/// segment. Two writes would let Nagle's algorithm hold the payload
+/// until the peer acknowledged the prefix, and a peer that delays its
+/// ACK stalls every round trip by ~40 ms.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME {
         return Err(io::Error::new(
@@ -493,16 +497,18 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
             FrameError::Oversized.to_string(),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
 /// Reads one length-prefixed frame. `Ok(None)` is a clean end of
 /// stream (EOF on the length-prefix boundary); EOF mid-frame and an
-/// oversized announcement are errors. A read error loses the bytes
-/// already read; a reader with a timeout keeps a [`FrameReader`]
-/// instead.
+/// oversized announcement are errors. A convenience for one-off reads
+/// (tests, scripts): a read error loses the bytes already read, so a
+/// connection keeps one [`FrameReader`] over a `BufReader` instead.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     FrameReader::default().read_frame(r)
 }
@@ -511,6 +517,10 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 /// a read error (a `WouldBlock`/`TimedOut` under a socket timeout, say),
 /// so the next call picks the frame up where the failed one stopped
 /// instead of parsing mid-frame bytes as a length prefix.
+///
+/// It asks for the prefix and the payload in two reads; over a
+/// `BufReader` the first fills the buffer with the whole frame and the
+/// second is a copy, so a frame costs one `recv`.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     /// The frame so far: length prefix, then payload.
@@ -563,5 +573,133 @@ impl FrameReader {
             Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(true),
             Err(e) => Err(e),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::BufReader;
+
+    /// A sink that records how many `write` calls reach it.
+    #[derive(Default)]
+    struct CountingWrite {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A source that hands out queued frames the way a socket hands out
+    /// segments: one read never crosses into the next frame. Counts the
+    /// `read` calls that reach it.
+    struct CountingRead {
+        frames: std::collections::VecDeque<Vec<u8>>,
+        pos: usize,
+        reads: usize,
+    }
+
+    impl CountingRead {
+        fn new(frames: impl IntoIterator<Item = Vec<u8>>) -> CountingRead {
+            CountingRead {
+                frames: frames.into_iter().collect(),
+                pos: 0,
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for CountingRead {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let Some(frame) = self.frames.front() else {
+                return Ok(0);
+            };
+            let n = buf.len().min(frame.len() - self.pos);
+            buf[..n].copy_from_slice(&frame[self.pos..self.pos + n]);
+            self.pos += n;
+            if self.pos == frame.len() {
+                self.frames.pop_front();
+                self.pos = 0;
+            }
+            Ok(n)
+        }
+    }
+
+    fn every_request() -> Vec<Request> {
+        vec![
+            Request::Open {
+                records: 20_000,
+                seed: 7,
+            },
+            Request::Replace {
+                session: 1,
+                key: -3,
+                value: 42,
+            },
+            Request::Find { session: 1, key: 9 },
+            Request::Tick {
+                session: 1,
+                rounds: 4,
+            },
+            Request::Snapshot { session: 1 },
+            Request::Close { session: 1 },
+            Request::Stop,
+        ]
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, payload).unwrap();
+        wire
+    }
+
+    #[test]
+    fn write_frame_issues_one_write() {
+        for len in [0, 1, MAX_FRAME - 1, MAX_FRAME] {
+            let payload = vec![0xA5u8; len];
+            let mut sink = CountingWrite::default();
+            write_frame(&mut sink, &payload).unwrap();
+            assert_eq!(sink.writes, 1, "{len}-byte payload");
+            assert_eq!(sink.bytes[..4], (len as u32).to_le_bytes());
+            assert_eq!(sink.bytes[4..], payload[..]);
+        }
+        let mut sink = CountingWrite::default();
+        assert!(write_frame(&mut sink, &vec![0u8; MAX_FRAME + 1]).is_err());
+        assert_eq!(sink.writes, 0, "an oversized frame writes nothing");
+    }
+
+    #[test]
+    fn buffered_frame_reader_needs_one_read_per_frame() {
+        let requests = every_request();
+        let wire: Vec<Vec<u8>> = requests.iter().map(|r| framed(&r.encode())).collect();
+        let mut source = BufReader::new(CountingRead::new(wire.clone()));
+        let mut frames = FrameReader::default();
+        for (i, req) in requests.iter().enumerate() {
+            let payload = frames.read_frame(&mut source).unwrap().expect("a frame");
+            assert_eq!(Request::decode(&payload).unwrap(), *req);
+            assert_eq!(source.get_ref().reads, i + 1, "after frame {i}");
+        }
+        assert_eq!(frames.read_frame(&mut source).unwrap(), None);
+        assert_eq!(
+            source.get_ref().reads,
+            requests.len() + 1,
+            "one read sees EOF"
+        );
+
+        // Unbuffered, the prefix and the payload are two reads.
+        let mut source = CountingRead::new(wire);
+        while frames.read_frame(&mut source).unwrap().is_some() {}
+        assert_eq!(source.reads, 2 * requests.len() + 1);
     }
 }

@@ -80,7 +80,13 @@ impl Server {
 
 /// Serves one connection until EOF, error, or server stop. Read
 /// timeouts let the thread notice the stop flag between requests.
+///
+/// Every response leaves in one write on a `TCP_NODELAY` stream, and
+/// requests are read through one `BufReader`, so a round trip costs one
+/// `recv` and one `send` on each side. A response split over two writes
+/// without `TCP_NODELAY` waits for the client's delayed ACK (~40 ms).
 fn serve_connection(stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) -> io::Result<()> {
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
     let mut peek = [0u8; 1];
     loop {
@@ -97,14 +103,19 @@ fn serve_connection(stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) -> io
             Err(e) => return Err(e),
         }
     }
+    let reader = BufReader::new(stream);
     if peek[0] == b'(' {
-        serve_sexpr(stream, daemon, stop)
+        serve_sexpr(reader, daemon, stop)
     } else {
-        serve_binary(stream, daemon, stop)
+        serve_binary(reader, daemon, stop)
     }
 }
 
-fn serve_binary(mut stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) -> io::Result<()> {
+fn serve_binary(
+    mut reader: BufReader<TcpStream>,
+    daemon: &Daemon,
+    stop: &AtomicBool,
+) -> io::Result<()> {
     // Owned by the connection so a frame cut by the read timeout
     // resumes on the next pass instead of desynchronizing the stream.
     let mut frames = FrameReader::default();
@@ -113,7 +124,7 @@ fn serve_binary(mut stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) -> io
             if stop.load(Ordering::Acquire) {
                 return Ok(());
             }
-            match frames.read_frame(&mut stream) {
+            match frames.read_frame(&mut reader) {
                 Ok(Some(payload)) => break payload,
                 Ok(None) => return Ok(()),
                 Err(e)
@@ -126,7 +137,7 @@ fn serve_binary(mut stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) -> io
             Ok(req) => {
                 let resp = daemon.handle(&req);
                 if matches!(req, Request::Stop) {
-                    write_frame(&mut stream, &resp.encode())?;
+                    write_frame(reader.get_mut(), &resp.encode())?;
                     stop.store(true, Ordering::Release);
                     return Ok(());
                 }
@@ -137,13 +148,15 @@ fn serve_binary(mut stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) -> io
                 message: e.to_string(),
             },
         };
-        write_frame(&mut stream, &response.encode())?;
+        write_frame(reader.get_mut(), &response.encode())?;
     }
 }
 
-fn serve_sexpr(stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) -> io::Result<()> {
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
+fn serve_sexpr(
+    mut reader: BufReader<TcpStream>,
+    daemon: &Daemon,
+    stop: &AtomicBool,
+) -> io::Result<()> {
     let mut line = String::new();
     loop {
         line.clear();
@@ -171,7 +184,7 @@ fn serve_sexpr(stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) -> io::Res
             Ok(req) => {
                 let resp = daemon.handle(&req);
                 if matches!(req, Request::Stop) {
-                    writeln!(writer, "{}", resp.to_sexpr())?;
+                    write_line(reader.get_mut(), &resp)?;
                     stop.store(true, Ordering::Release);
                     return Ok(());
                 }
@@ -182,6 +195,15 @@ fn serve_sexpr(stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) -> io::Res
                 message: msg,
             },
         };
-        writeln!(writer, "{}", response.to_sexpr())?;
+        write_line(reader.get_mut(), &response)?;
     }
+}
+
+/// Writes one s-expression response line, newline included, in a single
+/// write (`writeln!` on the stream would send the text and the `\n`
+/// apart).
+fn write_line(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
+    let mut line = response.to_sexpr();
+    line.push('\n');
+    stream.write_all(line.as_bytes())
 }

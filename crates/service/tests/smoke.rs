@@ -378,3 +378,89 @@ fn frames_split_across_read_timeouts_stay_in_sync() {
     assert_eq!(send_split(&Request::Stop, 2), Response::Stopping);
     running.join().unwrap();
 }
+
+/// Median of round-trip times.
+fn median(mut samples: Vec<std::time::Duration>) -> std::time::Duration {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
+/// A round trip over loopback must not pay the ~40 ms Nagle ×
+/// delayed-ACK stall in either wire mode: a response that leaves in two
+/// writes without `TCP_NODELAY` waits for the client's delayed ACK. The
+/// 5 ms bound sits two orders of magnitude below the stall and far above
+/// a µs-scale round trip, so a slow machine does not trip it.
+#[test]
+fn round_trips_do_not_stall_on_delayed_acks() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::{Duration, Instant};
+    const BOUND: Duration = Duration::from_millis(5);
+    let daemon = Arc::new(Daemon::new(StrategyKind::TreeToaster, cold_fleet(2)));
+    let server = Server::bind("127.0.0.1:0", daemon).unwrap();
+    let addr = server.local_addr().unwrap();
+    let running = std::thread::spawn(move || server.run().unwrap());
+
+    // Binary frames through the typed client.
+    let mut client = Client::connect(addr).unwrap();
+    let s = client.open(64, 3).unwrap();
+    let binary: Vec<Duration> = (0..200i64)
+        .map(|i| {
+            let t = Instant::now();
+            if i % 2 == 0 {
+                client.replace(s, i % 64, i).unwrap();
+            } else {
+                assert_eq!(client.find(s, (i - 1) % 64).unwrap(), Some(i - 1));
+            }
+            t.elapsed()
+        })
+        .collect();
+    let binary_p50 = median(binary);
+
+    // S-expression lines, each request sent in one write.
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    let mut round_trip = |request: String| {
+        line.clear();
+        let t = Instant::now();
+        writer.write_all(request.as_bytes()).unwrap();
+        reader.read_line(&mut line).unwrap();
+        (t.elapsed(), line.trim().to_string())
+    };
+    let (_, opened) = round_trip("(open records=64 seed=4)\n".into());
+    let session: u32 = opened
+        .strip_prefix("(opened session=")
+        .and_then(|t| t.strip_suffix(')'))
+        .and_then(|t| t.parse().ok())
+        .unwrap_or_else(|| panic!("open answered {opened}"));
+    let sexpr: Vec<Duration> = (0..50i64)
+        .map(|i| {
+            let (took, reply) = if i % 2 == 0 {
+                round_trip(format!("(replace session={session} key={i} value={i})\n"))
+            } else {
+                round_trip(format!("(find session={session} key={})\n", i - 1))
+            };
+            let want = if i % 2 == 0 {
+                "(replaced)".to_string()
+            } else {
+                format!("(found value={})", i - 1)
+            };
+            assert_eq!(reply, want);
+            took
+        })
+        .collect();
+    let sexpr_p50 = median(sexpr);
+
+    client.stop().unwrap();
+    running.join().unwrap();
+    assert!(
+        binary_p50 < BOUND,
+        "binary round trip median {binary_p50:?} (bound {BOUND:?})"
+    );
+    assert!(
+        sexpr_p50 < BOUND,
+        "s-expression round trip median {sexpr_p50:?} (bound {BOUND:?})"
+    );
+}
