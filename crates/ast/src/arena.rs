@@ -327,22 +327,6 @@ impl Ast {
         }
     }
 
-    /// [`Ast::descendants`] over a caller-provided DFS stack, so hot
-    /// maintenance loops (one preorder walk per rewrite) reuse one
-    /// allocation for the life of an engine instead of allocating a
-    /// fresh stack per traversal. The stack is cleared on entry.
-    pub fn descendants_with<'a>(
-        &'a self,
-        id: NodeId,
-        stack: &'a mut Vec<NodeId>,
-    ) -> DescendantsWith<'a> {
-        stack.clear();
-        if !id.is_null() {
-            stack.push(id);
-        }
-        DescendantsWith { ast: self, stack }
-    }
-
     /// Iterates proper ancestors of `id`, nearest first.
     pub fn ancestors(&self, id: NodeId) -> Ancestors<'_> {
         Ancestors {
@@ -519,25 +503,6 @@ pub struct Descendants<'a> {
 }
 
 impl Iterator for Descendants<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        let id = self.stack.pop()?;
-        for &c in self.ast.node(id).children().iter().rev() {
-            self.stack.push(c);
-        }
-        Some(id)
-    }
-}
-
-/// Preorder iterator borrowing its DFS stack. See
-/// [`Ast::descendants_with`].
-pub struct DescendantsWith<'a> {
-    ast: &'a Ast,
-    stack: &'a mut Vec<NodeId>,
-}
-
-impl Iterator for DescendantsWith<'_> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {

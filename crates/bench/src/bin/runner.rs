@@ -236,8 +236,8 @@ fn parse_args() -> Args {
 /// the classic driver, fleet workloads run the inline fleet driver, pool
 /// cells run a threaded pool of `pool: Some(w)` workers, commit
 /// cells run the mid-backlog pipeline driver (`commit: Some(async?)`),
-/// and rule-scale cells run the generic-mode matcher comparison
-/// (`rule_scale: Some((R, compiled?))`).
+/// and rule-scale cells run the generic-mode driver over the paper
+/// rules plus `rule_scale: Some(R)` probes.
 #[derive(Clone, Copy)]
 struct CellSpec {
     workload: char,
@@ -247,7 +247,7 @@ struct CellSpec {
     pool: Option<usize>,
     commit: Option<bool>,
     service: Option<usize>,
-    rule_scale: Option<(usize, bool)>,
+    rule_scale: Option<usize>,
 }
 
 fn main() -> ExitCode {
@@ -260,9 +260,7 @@ fn main() -> ExitCode {
             ops: 96,
             crack_threshold: 64,
             seed: 42,
-            adaptive_batch: false,
             async_commit: false,
-            compiled_match: true,
         }
     } else {
         ExperimentConfig::from_env()
@@ -410,23 +408,20 @@ fn main() -> ExitCode {
         });
     }
     // Rule-scale cells: the paper rules padded with R never-firing
-    // probes, through the generic-mode TT driver, once per matcher —
-    // the compiled automaton against the per-rule baseline. Keyed by
-    // `rule_count`/`matcher`, so they never collide with stock cells.
+    // probes, through the generic-mode TT driver. Keyed by
+    // `rule_count`, so they never collide with stock cells.
     for &rule_count in &sweep.rule_scale {
         for workload in RULE_SCALE_WORKLOADS {
-            for compiled in [true, false] {
-                specs.push(CellSpec {
-                    workload,
-                    strategy: StrategyKind::TreeToaster,
-                    batch_size: RULE_SCALE_BATCH,
-                    trees: None,
-                    pool: None,
-                    commit: None,
-                    service: None,
-                    rule_scale: Some((rule_count, compiled)),
-                });
-            }
+            specs.push(CellSpec {
+                workload,
+                strategy: StrategyKind::TreeToaster,
+                batch_size: RULE_SCALE_BATCH,
+                trees: None,
+                pool: None,
+                commit: None,
+                service: None,
+                rule_scale: Some(rule_count),
+            });
         }
     }
     eprintln!(
@@ -487,14 +482,8 @@ fn main() -> ExitCode {
                 if phase_of(spec) != phase {
                     continue;
                 }
-                let r = if let Some((rule_count, compiled)) = spec.rule_scale {
-                    run_rule_scale(
-                        spec.workload,
-                        experiment,
-                        spec.batch_size,
-                        rule_count,
-                        compiled,
-                    )
+                let r = if let Some(rule_count) = spec.rule_scale {
+                    run_rule_scale(spec.workload, experiment, spec.batch_size, rule_count)
                 } else if let Some(sessions) = spec.service {
                     run_service(experiment, sessions, args.service_threads)
                 } else {
@@ -567,7 +556,7 @@ fn main() -> ExitCode {
             deploy = format!("svc:{}x{}", r.sessions, args.service_threads);
         }
         if r.rule_count > 0 {
-            deploy = format!("{}@R{}", r.matcher, r.rule_count);
+            deploy = format!("R{}", r.rule_count);
         }
         eprintln!(
             "  {}/{} K={:<4} T={:<3} {:>12} {:>10.0} ns/op  {:>8} peak bytes  {} rewrites",

@@ -136,18 +136,6 @@ impl DeltaBuffer {
         self.canceled
     }
 
-    /// Fraction of staged deltas that annihilated (0.0 when nothing has
-    /// been staged). This is the observed signal adaptive batch sizing
-    /// tunes K from: a high rate means widening the epoch keeps
-    /// absorbing churn, a low rate means staging is pure overhead.
-    pub fn cancellation_rate(&self) -> f64 {
-        if self.staged == 0 {
-            0.0
-        } else {
-            self.canceled as f64 / self.staged as f64
-        }
-    }
-
     /// Applies every surviving net delta to its view and empties the
     /// buffer (the epoch commit).
     pub fn drain_into(&mut self, views: &mut [MatchView]) {

@@ -14,9 +14,7 @@
 //! | `TT_OPS`             | 1000    | [`EngineConfig::ops`]              |
 //! | `TT_CRACK_THRESHOLD` | 64      | [`EngineConfig::crack_threshold`]  |
 //! | `TT_SEED`            | 42      | [`EngineConfig::seed`]             |
-//! | `TT_ADAPTIVE_BATCH`  | 0       | [`EngineConfig::adaptive_batch`]   |
 //! | `TT_ASYNC_COMMIT`    | 0       | [`EngineConfig::async_commit`]     |
-//! | `TT_COMPILED_MATCH`  | 1       | [`EngineConfig::compiled_match`]   |
 //! | `TT_SESSIONS`        | 64      | [`FleetConfig::sessions`]          |
 //! | `TT_WORKERS`         | 2       | [`FleetConfig::workers`]           |
 //! | `TT_HEAT_THRESHOLD`  | 1       | [`FleetConfig::heat_threshold`]    |
@@ -40,11 +38,6 @@ pub struct EngineConfig {
     pub crack_threshold: usize,
     /// Master seed.
     pub seed: u64,
-    /// Adaptive batch sizing: when set, the epoch drivers auto-tune the
-    /// ops-per-epoch K from the strategies' observed cancellation rates
-    /// (a high rate widens the epoch, a low rate narrows it). Off by
-    /// default — the fixed-K path is byte-for-byte unchanged.
-    pub adaptive_batch: bool,
     /// Pipelined epoch commits: when set, the epoch drivers close each
     /// epoch with a *seal* (`submit_commit`) instead of an inline
     /// `commit_batch`, and the sealed epoch is applied one epoch later
@@ -52,12 +45,6 @@ pub struct EngineConfig {
     /// a final drain lands the last epoch). Off by default — the
     /// synchronous commit path is byte-for-byte unchanged.
     pub async_commit: bool,
-    /// Compiled matching: when set (the default), candidate enumeration
-    /// runs the rule set's label-discriminated match automaton — one
-    /// shared-prefix walk per node instead of R independent pattern
-    /// evaluations. Turning it off falls back to the one-pattern-at-a-time
-    /// evaluator, kept alive as the differential-testing baseline.
-    pub compiled_match: bool,
 }
 
 impl Default for EngineConfig {
@@ -67,9 +54,7 @@ impl Default for EngineConfig {
             ops: 1_000,
             crack_threshold: 64,
             seed: 42,
-            adaptive_batch: false,
             async_commit: false,
-            compiled_match: true,
         }
     }
 }
@@ -83,9 +68,7 @@ impl EngineConfig {
             ops: env_u64("TT_OPS", 1_000) as usize,
             crack_threshold: env_u64("TT_CRACK_THRESHOLD", 64) as usize,
             seed: env_u64("TT_SEED", 42),
-            adaptive_batch: env_u64("TT_ADAPTIVE_BATCH", 0) != 0,
             async_commit: env_u64("TT_ASYNC_COMMIT", 0) != 0,
-            compiled_match: env_u64("TT_COMPILED_MATCH", 1) != 0,
         }
     }
 
@@ -113,23 +96,10 @@ impl EngineConfig {
         self
     }
 
-    /// Enables or disables adaptive epoch sizing.
-    pub fn adaptive_batch(mut self, on: bool) -> EngineConfig {
-        self.adaptive_batch = on;
-        self
-    }
-
     /// Enables or disables the pipelined (seal + background apply)
     /// commit discipline.
     pub fn async_commit(mut self, on: bool) -> EngineConfig {
         self.async_commit = on;
-        self
-    }
-
-    /// Enables or disables the compiled match automaton (off = the
-    /// per-rule baseline evaluator).
-    pub fn compiled_match(mut self, on: bool) -> EngineConfig {
-        self.compiled_match = on;
         self
     }
 }
@@ -215,9 +185,7 @@ mod tests {
         assert_eq!(d.ops, 1_000);
         assert_eq!(d.crack_threshold, 64);
         assert_eq!(d.seed, 42);
-        assert!(!d.adaptive_batch);
         assert!(!d.async_commit);
-        assert!(d.compiled_match);
     }
 
     #[test]
@@ -227,16 +195,12 @@ mod tests {
             .ops(30)
             .crack_threshold(32)
             .seed(7)
-            .adaptive_batch(true)
-            .async_commit(true)
-            .compiled_match(false);
+            .async_commit(true);
         assert_eq!(cfg.records, 256);
         assert_eq!(cfg.ops, 30);
         assert_eq!(cfg.crack_threshold, 32);
         assert_eq!(cfg.seed, 7);
-        assert!(cfg.adaptive_batch);
         assert!(cfg.async_commit);
-        assert!(!cfg.compiled_match);
 
         let fleet = FleetConfig::default()
             .engine(cfg)

@@ -23,7 +23,7 @@ use crate::strategy::{EpochOps, MatchCore, ReplaceCtx, RuleId};
 use crate::view::MatchView;
 use std::sync::Arc;
 use tt_ast::{Ast, NodeId};
-use tt_pattern::{matches_with, AutomatonScratch, Bindings};
+use tt_pattern::{AutomatonScratch, Bindings};
 
 /// Maintenance-path selection (the §6.1 ablation knob).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,31 +35,12 @@ pub enum MaintenanceMode {
     Generic,
 }
 
-/// Reusable per-engine work buffers, so a steady-state `replace` — one
-/// preorder walk plus a handful of candidate evaluations — performs zero
-/// heap allocations: the DFS stack and the pattern-binding environment
-/// both live for the life of the engine.
-#[derive(Debug, Default)]
-struct Scratch {
-    /// DFS stack for [`tt_ast::Ast::descendants_with`] walks.
-    stack: Vec<NodeId>,
-    /// Binding environment for [`matches_with`] evaluations.
-    bindings: Bindings,
-    /// Scratch for the compiled automaton's walks.
-    auto: AutomatonScratch,
-}
-
 /// The TreeToaster engine: per-rule views over the live AST.
 pub struct TreeToasterEngine {
     rules: Arc<RuleSet>,
     views: Vec<MatchView>,
     matrix: InlineMatrix,
     mode: MaintenanceMode,
-    /// Drive candidate discovery through the rule set's compiled
-    /// [`tt_pattern::MatchAutomaton`] (one walk per touched node) rather
-    /// than R independent pattern evaluations. On by default; the
-    /// per-rule path stays alive as the differential-testing baseline.
-    compiled: bool,
     /// Open maintenance epoch: deltas stage here (and cancel) instead of
     /// touching the views. `None` = immediate (K=1) maintenance.
     batch: Option<DeltaBuffer>,
@@ -72,8 +53,10 @@ pub struct TreeToasterEngine {
     /// reused by the next [`EpochOps::begin_batch`] instead of being
     /// freed and re-allocated every epoch.
     spare: Option<DeltaBuffer>,
-    /// Reusable maintenance work buffers (see [`Scratch`]).
-    scratch: Scratch,
+    /// Reusable automaton work buffers, so a steady-state `replace` —
+    /// one subtree walk plus a handful of candidate checks — performs
+    /// zero heap allocations.
+    scratch: AutomatonScratch,
 }
 
 impl TreeToasterEngine {
@@ -95,20 +78,11 @@ impl TreeToasterEngine {
             views,
             matrix,
             mode,
-            compiled: true,
             batch: None,
             sealed: None,
             spare: None,
-            scratch: Scratch::default(),
+            scratch: AutomatonScratch::default(),
         }
-    }
-
-    /// Selects the matcher: `true` (default) drives discovery through
-    /// the compiled automaton, `false` keeps the one-pattern-at-a-time
-    /// baseline.
-    pub fn compiled_match(mut self, on: bool) -> Self {
-        self.compiled = on;
-        self
     }
 
     /// Net deltas currently staged in an open epoch, plus any sealed
@@ -179,15 +153,11 @@ impl TreeToasterEngine {
     /// Generic phase helper: walk `Desc(root)` and the `D(q)` nearest
     /// ancestors, applying `sign` for every current match.
     ///
-    /// Compiled path: one automaton walk over the subtree emits every
-    /// rule's candidates at once, then one [`run_at`] per distinct
-    /// ancestor height covers the `{Ancestor_i}` part — a rule is staged
-    /// at height `h` only when `h ≤ D(q)`, exactly the heights the
-    /// per-rule sweep would visit, so the two paths stage identical
-    /// delta sets. Fallback path: one preorder walk tests every pattern
-    /// per node (better locality than one walk per pattern). Either way
-    /// the stacks and binding scratch are engine-owned, so the walk
-    /// allocates nothing.
+    /// One automaton walk over the subtree emits every rule's candidates
+    /// at once, then one [`run_at`] per distinct ancestor height covers
+    /// the `{Ancestor_i}` part — a rule is staged at height `h` only when
+    /// `h ≤ D(q)`, exactly the heights Definition 6 names. The automaton
+    /// scratch is engine-owned, so the walk allocates nothing.
     ///
     /// [`run_at`]: tt_pattern::MatchAutomaton::run_at
     fn generic_phase(&mut self, ast: &Ast, root: NodeId, sign: i64) {
@@ -196,82 +166,22 @@ impl TreeToasterEngine {
             views,
             batch,
             scratch,
-            compiled,
             ..
         } = self;
-        if *compiled {
-            let auto = rules.automaton();
-            auto.for_each_match(ast, root, &mut scratch.auto, &mut |n, id, _| {
-                Self::stage_into(batch, views, id, n, sign);
-            });
-            for h in 1..=auto.max_depth() {
-                let a = ast.ancestor_at(root, h);
-                if a.is_null() {
-                    break;
-                }
-                auto.run_at(ast, a, &mut scratch.auto, &mut |id, _| {
-                    if auto.depth(id) >= h {
-                        Self::stage_into(batch, views, id, a, sign);
-                    }
-                });
-            }
-            return;
-        }
-        // Only rules rooted at the node's label (plus the Any-rooted
-        // bucket) can match there, so consult the rule set's pre-bucketed
-        // root-label index instead of scanning all R rules per node.
-        for n in ast.descendants_with(root, &mut scratch.stack) {
-            for &id in Self::candidates(rules, ast, n) {
-                if matches_with(ast, n, &rules.get(id).pattern, &mut scratch.bindings) {
-                    Self::stage_into(batch, views, id, n, sign);
-                }
-            }
-        }
-        let max_depth = rules.iter().map(|(_, r)| r.pattern.depth()).max();
-        for h in 1..=max_depth.unwrap_or(0) {
+        let auto = rules.automaton();
+        auto.for_each_match(ast, root, scratch, &mut |n, id, _| {
+            Self::stage_into(batch, views, id, n, sign);
+        });
+        for h in 1..=auto.max_depth() {
             let a = ast.ancestor_at(root, h);
             if a.is_null() {
                 break;
             }
-            for &id in Self::candidates(rules, ast, a) {
-                let pattern = &rules.get(id).pattern;
-                if pattern.depth() >= h && matches_with(ast, a, pattern, &mut scratch.bindings) {
+            auto.run_at(ast, a, scratch, &mut |id, _| {
+                if auto.depth(id) >= h {
                     Self::stage_into(batch, views, id, a, sign);
                 }
-            }
-        }
-    }
-
-    /// Rule ids that can possibly match at `n`: the bucket for `n`'s
-    /// label followed by the Any-rooted rules.
-    #[inline]
-    fn candidates<'r>(
-        rules: &'r RuleSet,
-        ast: &Ast,
-        n: NodeId,
-    ) -> impl Iterator<Item = &'r RuleId> {
-        rules
-            .rules_by_root_label(ast.label(n))
-            .iter()
-            .chain(rules.wildcard_rooted())
-    }
-
-    /// One candidate re-check on the Algorithm-3 plan paths: the
-    /// compiled matcher's straight-line per-rule program, or the
-    /// baseline pattern evaluation.
-    #[inline]
-    fn check_one(
-        rules: &RuleSet,
-        compiled: bool,
-        scratch: &mut Scratch,
-        ast: &Ast,
-        n: NodeId,
-        id: RuleId,
-    ) -> bool {
-        if compiled {
-            rules.automaton().run_rule(ast, n, id, &mut scratch.auto)
-        } else {
-            matches_with(ast, n, &rules.get(id).pattern, &mut scratch.bindings)
+            });
         }
     }
 
@@ -284,20 +194,20 @@ impl TreeToasterEngine {
             batch,
             matrix,
             scratch,
-            compiled,
             ..
         } = self;
+        let auto = rules.automaton();
         for id in 0..rules.len() {
             let plan = matrix.plan(id, fired).expect("caller checked plan exists");
             for &var in &plan.removed_candidates {
                 let n = bindings.get(var);
-                if Self::check_one(rules, *compiled, scratch, ast, n, id) {
+                if auto.run_rule(ast, n, id, scratch) {
                     Self::stage_into(batch, views, id, n, -1);
                 }
             }
             for &h in &plan.ancestor_heights {
                 let a = ast.ancestor_at(old_root, h);
-                if !a.is_null() && Self::check_one(rules, *compiled, scratch, ast, a, id) {
+                if !a.is_null() && auto.run_rule(ast, a, id, scratch) {
                     Self::stage_into(batch, views, id, a, -1);
                 }
             }
@@ -313,20 +223,20 @@ impl TreeToasterEngine {
             batch,
             matrix,
             scratch,
-            compiled,
             ..
         } = self;
+        let auto = rules.automaton();
         for id in 0..rules.len() {
             let plan = matrix.plan(id, fired).expect("caller checked plan exists");
             for &gi in &plan.gen_candidates {
                 let n = gen_nodes[gi];
-                if Self::check_one(rules, *compiled, scratch, ast, n, id) {
+                if auto.run_rule(ast, n, id, scratch) {
                     Self::stage_into(batch, views, id, n, 1);
                 }
             }
             for &h in &plan.ancestor_heights {
                 let a = ast.ancestor_at(new_root, h);
-                if !a.is_null() && Self::check_one(rules, *compiled, scratch, ast, a, id) {
+                if !a.is_null() && auto.run_rule(ast, a, id, scratch) {
                     Self::stage_into(batch, views, id, a, 1);
                 }
             }
@@ -363,30 +273,18 @@ impl MatchCore for TreeToasterEngine {
             return;
         }
         // One traversal for the paper's initial materialization: the
-        // automaton emits every rule's matches in a single walk, or the
-        // baseline tests every pattern per node.
+        // automaton emits every rule's matches in a single walk.
         let Self {
             rules,
             views,
             scratch,
-            compiled,
             ..
         } = self;
-        if *compiled {
-            rules
-                .automaton()
-                .for_each_match(ast, root, &mut scratch.auto, &mut |n, id, _| {
-                    views[id].add(n, 1);
-                });
-            return;
-        }
-        for n in ast.descendants_with(root, &mut scratch.stack) {
-            for &id in Self::candidates(rules, ast, n) {
-                if matches_with(ast, n, &rules.get(id).pattern, &mut scratch.bindings) {
-                    views[id].add(n, 1);
-                }
-            }
-        }
+        rules
+            .automaton()
+            .for_each_match(ast, root, scratch, &mut |n, id, _| {
+                views[id].add(n, 1);
+            });
     }
 
     fn find_one(&mut self, _ast: &Ast, rule: RuleId) -> Option<NodeId> {
@@ -480,24 +378,13 @@ impl MatchCore for TreeToasterEngine {
             views,
             batch,
             scratch,
-            compiled,
             ..
         } = self;
-        if *compiled {
-            let auto = rules.automaton();
-            for &n in created {
-                auto.run_at(ast, n, &mut scratch.auto, &mut |id, _| {
-                    Self::stage_into(batch, views, id, n, 1);
-                });
-            }
-            return;
-        }
+        let auto = rules.automaton();
         for &n in created {
-            for &id in Self::candidates(rules, ast, n) {
-                if matches_with(ast, n, &rules.get(id).pattern, &mut scratch.bindings) {
-                    Self::stage_into(batch, views, id, n, 1);
-                }
-            }
+            auto.run_at(ast, n, scratch, &mut |id, _| {
+                Self::stage_into(batch, views, id, n, 1);
+            });
         }
     }
 
@@ -772,15 +659,16 @@ mod tests {
     }
 
     #[test]
-    fn compiled_matcher_agrees_with_baseline() {
-        // Drive the cascade to quiescence under every (matcher, mode)
-        // combination; `check_views_correct` rescans with the naive
-        // evaluator after every rewrite, so this differentially checks
-        // the automaton's rebuild, inlined, and generic paths at once.
-        let run = |compiled: bool, mode| {
+    fn automaton_maintenance_agrees_with_per_rule_oracle() {
+        // Drive the cascade to quiescence under both maintenance modes;
+        // `check_views_correct` rescans with the per-rule evaluator after
+        // every rewrite, so this differentially checks the automaton's
+        // rebuild, inlined, and generic paths at once. The fixpoint must
+        // be the one the evaluator alone reaches.
+        let run = |mode| {
             let mut ast =
                 tree(r#"(Arith op="+" (Const val=0) (Arith op="*" (Const val=1) (Var name="y")))"#);
-            let mut engine = TreeToasterEngine::with_mode(rules(), mode).compiled_match(compiled);
+            let mut engine = TreeToasterEngine::with_mode(rules(), mode);
             engine.rebuild(&ast);
             engine.check_views_correct(&ast).unwrap();
             while let Some((rid, site)) =
@@ -792,7 +680,7 @@ mod tests {
             tt_ast::sexpr::to_sexpr(&ast, ast.root())
         };
         for mode in [MaintenanceMode::Inlined, MaintenanceMode::Generic] {
-            assert_eq!(run(true, mode), run(false, mode));
+            assert_eq!(run(mode), r#"(Var name="y")"#);
         }
     }
 

@@ -207,8 +207,7 @@ impl AppliedRewrite {
 ///
 /// Construction eagerly derives everything the matchers and engines used
 /// to recompute per consumer: the compiled [`MatchAutomaton`] over all
-/// patterns, the name → id index, per-root-label rule buckets for the
-/// one-rule-at-a-time fallback path, and the Definition-7
+/// patterns, the name → id index, and the Definition-7
 /// [`RewriteRule::safe_for_inline`] bits. Rule sets are tiny and shared
 /// via `Arc` by whole fleets of engines, so paying once here is the
 /// right trade.
@@ -219,10 +218,6 @@ pub struct RuleSet {
     automaton: Arc<MatchAutomaton>,
     /// Name → id (first occurrence wins, like the old linear scan).
     name_index: FxHashMap<String, usize>,
-    /// Rules bucketed by their root `Match` label.
-    by_root_label: FxHashMap<Label, Vec<usize>>,
-    /// Rules whose root is a wildcard (match any node).
-    wildcard_rooted: Vec<usize>,
     /// Cached [`RewriteRule::safe_for_inline`] per rule, dense by id.
     inlineable: Vec<bool>,
 }
@@ -243,23 +238,15 @@ impl RuleSet {
     pub fn from_rules(rules: Vec<RewriteRule>) -> Self {
         let automaton = Arc::new(MatchAutomaton::compile(rules.iter().map(|r| &r.pattern)));
         let mut name_index = FxHashMap::default();
-        let mut by_root_label: FxHashMap<Label, Vec<usize>> = FxHashMap::default();
-        let mut wildcard_rooted = Vec::new();
         let mut inlineable = Vec::with_capacity(rules.len());
         for (id, rule) in rules.iter().enumerate() {
             name_index.entry(rule.name.clone()).or_insert(id);
-            match rule.pattern.root_label() {
-                Some(label) => by_root_label.entry(label).or_default().push(id),
-                None => wildcard_rooted.push(id),
-            }
             inlineable.push(rule.safe_for_inline());
         }
         Self {
             rules,
             automaton,
             name_index,
-            by_root_label,
-            wildcard_rooted,
             inlineable,
         }
     }
@@ -302,19 +289,6 @@ impl RuleSet {
     /// The compiled match automaton over every rule's pattern.
     pub fn automaton(&self) -> &Arc<MatchAutomaton> {
         &self.automaton
-    }
-
-    /// Ids of rules whose root `Match` carries `label` — the per-rule
-    /// fallback path iterates this bucket (plus
-    /// [`Self::wildcard_rooted`]) for a candidate node instead of
-    /// scanning all R rules.
-    pub fn rules_by_root_label(&self, label: Label) -> &[usize] {
-        self.by_root_label.get(&label).map_or(&[], Vec::as_slice)
-    }
-
-    /// Ids of rules whose root is a wildcard (candidates at every node).
-    pub fn wildcard_rooted(&self) -> &[usize] {
-        &self.wildcard_rooted
     }
 
     /// Cached [`RewriteRule::safe_for_inline`] bits, dense by rule id —
@@ -638,14 +612,6 @@ mod tests {
         );
         let rs = RuleSet::from_rules(vec![add_zero_rule(), wildcard, anywhere]);
 
-        // Root-label buckets: both Arith-rooted rules, in id order.
-        let arith = s.expect_label("Arith");
-        assert_eq!(rs.rules_by_root_label(arith), &[0, 1]);
-        assert!(rs.rules_by_root_label(s.expect_label("Const")).is_empty());
-        // The Any-rooted rule matches every label, so it lives in the
-        // wildcard bucket consulted for all roots.
-        assert_eq!(rs.wildcard_rooted(), &[2]);
-
         // Cached safety bits agree with the per-rule recomputation.
         let bits: Vec<bool> = rs.iter().map(|(_, r)| r.safe_for_inline()).collect();
         assert_eq!(rs.inlineable(), &bits[..]);
@@ -655,7 +621,7 @@ mod tests {
         assert_eq!(rs.automaton().rule_count(), 3);
         let mut rs = rs;
         let id = rs.push(add_zero_rule());
-        assert_eq!(rs.rules_by_root_label(arith), &[0, 1, id]);
+        assert_eq!(rs.get(id).name, "AddZero");
         assert_eq!(rs.automaton().rule_count(), 4);
         // First pushed name wins duplicate lookups.
         assert_eq!(rs.by_name("AddZero").unwrap().0, 0);

@@ -17,7 +17,7 @@ use crate::rules::{AppliedRewrite, RuleSet};
 use std::sync::Arc;
 use tt_ast::{Ast, Label, NodeId, NodeLabelMap, NodeRow};
 use tt_labelindex::LabelIndex;
-use tt_pattern::{find_first, matches, AutomatonScratch, Bindings, PatternNode};
+use tt_pattern::{AutomatonScratch, Bindings, PatternNode};
 
 /// Index of a rewrite rule within the shared [`RuleSet`].
 pub type RuleId = usize;
@@ -189,10 +189,9 @@ pub trait EpochOps {
     /// `(staged, canceled)` delta counters of the open — or, after a
     /// commit, the most recently committed — maintenance epoch.
     /// `canceled` counts staged deltas that annihilated against an
-    /// opposing entry before touching any structure; the ratio is the
-    /// signal adaptive batch sizing tunes K from (a high rate means the
-    /// epoch is absorbing churn the views never see, so larger epochs
-    /// pay off). Default: `None`, for strategies that stage nothing.
+    /// opposing entry before touching any structure — churn the views
+    /// never see (the daemon's session stats report it). Default:
+    /// `None`, for strategies that stage nothing.
     fn batch_cancellation(&self) -> Option<(u64, u64)> {
         None
     }
@@ -306,10 +305,6 @@ pub struct NaiveStrategy {
     rules: Arc<RuleSet>,
     /// Reusable DFS scratch for the compiled per-rule token program.
     scratch: AutomatonScratch,
-    /// Compiled matching (default): the scan runs the searched rule's
-    /// straight-line automaton program per node instead of the recursive
-    /// pattern evaluator. Off = the differential-testing baseline.
-    compiled: bool,
 }
 
 impl NaiveStrategy {
@@ -318,14 +313,7 @@ impl NaiveStrategy {
         Self {
             rules,
             scratch: AutomatonScratch::default(),
-            compiled: true,
         }
-    }
-
-    /// Enables or disables the compiled match path.
-    pub fn compiled(mut self, on: bool) -> Self {
-        self.compiled = on;
-        self
     }
 }
 
@@ -337,18 +325,10 @@ impl MatchCore for NaiveStrategy {
     fn rebuild(&mut self, _ast: &Ast) {}
 
     fn find_one(&mut self, ast: &Ast, rule: RuleId) -> Option<NodeId> {
-        if self.compiled {
-            let root = ast.root();
-            if root.is_null() {
-                return None;
-            }
-            let auto = self.rules.automaton();
-            let scratch = &mut self.scratch;
-            return ast
-                .descendants(root)
-                .find(|&n| auto.run_rule(ast, n, rule, scratch));
-        }
-        find_first(ast, ast.root(), &self.rules.get(rule).pattern).map(|(n, _)| n)
+        let auto = self.rules.automaton();
+        let scratch = &mut self.scratch;
+        ast.descendants(ast.root())
+            .find(|&n| auto.run_rule(ast, n, rule, scratch))
     }
 
     fn before_replace(&mut self, _: &Ast, _: NodeId, _: Option<(RuleId, &Bindings)>) {}
@@ -395,10 +375,6 @@ pub struct IndexStrategy {
     canceled: u64,
     /// Reusable DFS scratch for the compiled candidate re-checks.
     scratch: AutomatonScratch,
-    /// Compiled matching (default): posting-list candidates are
-    /// re-checked with the searched rule's straight-line automaton
-    /// program. Off = the per-candidate recursive evaluator.
-    compiled: bool,
 }
 
 impl IndexStrategy {
@@ -414,24 +390,14 @@ impl IndexStrategy {
             staged: 0,
             canceled: 0,
             scratch: AutomatonScratch::default(),
-            compiled: true,
         }
     }
 
-    /// Enables or disables the compiled match path.
-    pub fn compiled(mut self, on: bool) -> Self {
-        self.compiled = on;
-        self
-    }
-
-    /// One candidate found through the posting lists: scan the searched
-    /// rule's root-label bucket (restricted to `live` entries) and
-    /// re-check each candidate — via the compiled program or the
-    /// recursive evaluator, per `compiled`. Mirrors
-    /// [`LabelIndex::index_lookup_where`], including its `AnyNode`-root
-    /// shortcut (the AST root answers, Algorithm 1 line 2).
+    /// One candidate found through the posting lists
+    /// ([`LabelIndex::lookup_where`], restricted to `live` entries),
+    /// re-checked with the searched rule's straight-line automaton
+    /// program.
     fn lookup_where(
-        compiled: bool,
         rules: &RuleSet,
         index: &LabelIndex,
         scratch: &mut AutomatonScratch,
@@ -439,40 +405,10 @@ impl IndexStrategy {
         rule: RuleId,
         live: impl Fn(Label, NodeId) -> bool,
     ) -> Option<NodeId> {
-        if !compiled {
-            return index
-                .index_lookup_where(ast, &rules.get(rule).pattern, live)
-                .map(|(n, _)| n);
-        }
         let auto = rules.automaton();
-        match rules.get(rule).pattern.root_label() {
-            None => {
-                let root = ast.root();
-                (!root.is_null() && auto.run_rule(ast, root, rule, scratch)).then_some(root)
-            }
-            Some(label) => index
-                .nodes(label)
-                .iter()
-                .copied()
-                .filter(|&n| live(label, n))
-                .find(|&n| auto.run_rule(ast, n, rule, scratch)),
-        }
-    }
-
-    /// Re-checks one staged (not-yet-indexed) candidate.
-    fn check_candidate(
-        compiled: bool,
-        rules: &RuleSet,
-        scratch: &mut AutomatonScratch,
-        ast: &Ast,
-        n: NodeId,
-        rule: RuleId,
-    ) -> bool {
-        if compiled {
-            rules.automaton().run_rule(ast, n, rule, scratch)
-        } else {
-            matches(ast, n, &rules.get(rule).pattern)
-        }
+        index.lookup_where(ast, rules.get(rule).pattern.root_label(), live, |n| {
+            auto.run_rule(ast, n, rule, scratch)
+        })
     }
 
     /// Drains one epoch's surviving net deltas into the posting lists
@@ -533,10 +469,9 @@ impl MatchCore for IndexStrategy {
             batch,
             sealed,
             scratch,
-            compiled,
             ..
         } = self;
-        let (rules, index, compiled) = (&**rules, &*index, *compiled);
+        let (rules, index) = (&**rules, &*index);
         let sealed = sealed.as_ref().filter(|p| !p.is_empty());
         let open = batch.as_ref().filter(|p| !p.is_empty());
         // Overlay over `index ⊕ sealed ⊕ batch`: indexed nodes whose net
@@ -546,18 +481,16 @@ impl MatchCore for IndexStrategy {
         // from the posting lists.
         let (first, second) = match (sealed, open) {
             (None, None) => {
-                return Self::lookup_where(compiled, rules, index, scratch, ast, rule, |_, _| true)
+                return Self::lookup_where(rules, index, scratch, ast, rule, |_, _| true)
             }
             // Single-buffer overlay — one probe per scanned posting-list
             // member. This is the hot shape (a synchronous commit cycle
             // never holds a sealed epoch), so it must not pay for the
             // composed case.
             (Some(p), None) | (None, Some(p)) => {
-                if let Some(n) =
-                    Self::lookup_where(compiled, rules, index, scratch, ast, rule, |label, n| {
-                        !p.contains(label, n)
-                    })
-                {
+                if let Some(n) = Self::lookup_where(rules, index, scratch, ast, rule, |label, n| {
+                    !p.contains(label, n)
+                }) {
                     return Some(n);
                 }
                 let PatternNode::Match { label: root, .. } = rules.get(rule).pattern.root() else {
@@ -567,18 +500,16 @@ impl MatchCore for IndexStrategy {
                     .iter()
                     .filter(|&((label, _), &d)| d > 0 && label == *root)
                     .map(|((_, n), _)| n)
-                    .find(|&n| Self::check_candidate(compiled, rules, scratch, ast, n, rule));
+                    .find(|&n| rules.automaton().run_rule(ast, n, rule, scratch));
             }
             (Some(s), Some(o)) => (s, o),
         };
         let delta = |label: Label, n: NodeId| {
             first.get(label, n).copied().unwrap_or(0) + second.get(label, n).copied().unwrap_or(0)
         };
-        if let Some(n) =
-            Self::lookup_where(compiled, rules, index, scratch, ast, rule, |label, n| {
-                delta(label, n) == 0
-            })
-        {
+        if let Some(n) = Self::lookup_where(rules, index, scratch, ast, rule, |label, n| {
+            delta(label, n) == 0
+        }) {
             return Some(n);
         }
         // Nodes born inside the sealed or open epoch are not yet
@@ -593,7 +524,7 @@ impl MatchCore for IndexStrategy {
             .flat_map(|pending| pending.iter())
             .filter(|&((label, n), _)| label == *root && delta(label, n) > 0)
             .map(|((_, n), _)| n)
-            .find(|&n| Self::check_candidate(compiled, rules, scratch, ast, n, rule))
+            .find(|&n| rules.automaton().run_rule(ast, n, rule, scratch))
     }
 
     fn before_replace(&mut self, _: &Ast, _: NodeId, _: Option<(RuleId, &Bindings)>) {
@@ -722,7 +653,7 @@ impl EpochOps for IndexStrategy {
 
     fn batch_cancellation(&self) -> Option<(u64, u64)> {
         // Counters persist after a commit (until the next begin), so
-        // adaptive tuners can read the epoch just closed.
+        // callers can read the epoch just closed.
         (self.batch.is_some() || self.sealed.is_some() || self.spare.is_some())
             .then_some((self.staged, self.canceled))
     }
@@ -736,7 +667,7 @@ mod tests {
     use tt_ast::schema::arith_schema;
     use tt_ast::sexpr::parse_sexpr;
     use tt_pattern::dsl as p;
-    use tt_pattern::{match_node, Pattern};
+    use tt_pattern::{find_first, match_node, matches, Pattern};
 
     fn add_zero_rules() -> Arc<RuleSet> {
         let s = arith_schema();
@@ -856,31 +787,26 @@ mod tests {
     }
 
     #[test]
-    fn baseline_matcher_paths_stay_live() {
-        // `compiled(false)` keeps the one-pattern-at-a-time evaluator as
-        // the differential-testing baseline for both strategies.
-        let mut n = NaiveStrategy::new(add_zero_rules()).compiled(false);
-        assert!(drive_one(&mut n).is_none());
-        let rules = add_zero_rules();
-        let (ast, _) = tree(r#"(Const val=1)"#);
-        let mut i = IndexStrategy::new(rules, &ast).compiled(false);
-        assert!(drive_one(&mut i).is_none());
-    }
-
-    #[test]
     fn compiled_overlay_agrees_with_baseline_mid_epoch() {
+        // The per-rule evaluator is the reference: every overlay read —
+        // before and after the commit lands the surviving deltas — must
+        // return a node it accepts, and `None` only when it finds none.
         let rules = add_zero_rules();
         let (mut ast, _) = tree(
             r#"(Arith op="*" (Arith op="+" (Const val=0) (Var name="b")) (Arith op="+" (Const val=0) (Var name="c")))"#,
         );
-        let mut compiled = IndexStrategy::new(rules.clone(), &ast);
-        let mut baseline = IndexStrategy::new(rules.clone(), &ast).compiled(false);
-        compiled.rebuild(&ast);
-        baseline.rebuild(&ast);
-        compiled.begin_batch();
-        baseline.begin_batch();
-        let site = compiled.find_one(&ast, 0).unwrap();
-        assert_eq!(baseline.find_one(&ast, 0), Some(site));
+        let agrees = |s: &mut IndexStrategy, ast: &Ast| {
+            let pattern = &rules.get(0).pattern;
+            match s.find_one(ast, 0) {
+                Some(n) => assert!(matches(ast, n, pattern), "{n:?} is no match"),
+                None => assert!(find_first(ast, ast.root(), pattern).is_none()),
+            }
+        };
+        let mut s = IndexStrategy::new(rules.clone(), &ast);
+        s.rebuild(&ast);
+        s.begin_batch();
+        agrees(&mut s, &ast);
+        let site = s.find_one(&ast, 0).unwrap();
         let rule = rules.get(0);
         let bindings = match_node(&ast, site, &rule.pattern).unwrap();
         let applied = rule.apply(&mut ast, site, &bindings, 0);
@@ -892,15 +818,11 @@ mod tests {
             parent_update: applied.parent_update.as_ref(),
             rule: None,
         };
-        compiled.after_replace(&ast, &ctx);
-        baseline.after_replace(&ast, &ctx);
-        // Mid-epoch overlay reads must agree, both before and after the
-        // commit lands the surviving deltas.
-        assert_eq!(compiled.find_one(&ast, 0), baseline.find_one(&ast, 0));
-        compiled.commit_batch();
-        baseline.commit_batch();
-        assert_eq!(compiled.find_one(&ast, 0), baseline.find_one(&ast, 0));
-        compiled.check_consistent(&ast).unwrap();
+        s.after_replace(&ast, &ctx);
+        agrees(&mut s, &ast);
+        s.commit_batch();
+        agrees(&mut s, &ast);
+        s.check_consistent(&ast).unwrap();
     }
 
     #[test]

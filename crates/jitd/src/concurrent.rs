@@ -964,13 +964,25 @@ mod tests {
             }
             std::thread::sleep(Duration::from_micros(100));
         }
+        // Watch the idle pool for at least 200 ms, and until the parked
+        // counter moves: a heartbeat re-park is bound to land, however
+        // slowly the workers are scheduled.
         let before = jitd.steal_stats();
-        std::thread::sleep(Duration::from_millis(200));
-        let after = jitd.steal_stats();
-        assert!(
-            after.parked_count > before.parked_count,
-            "idle workers never parked: before {before:?}, after {after:?}"
-        );
+        let watch = Instant::now();
+        let deadline = watch + Duration::from_secs(60);
+        let after = loop {
+            let now = jitd.steal_stats();
+            if now.parked_count > before.parked_count
+                && watch.elapsed() >= Duration::from_millis(200)
+            {
+                break now;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "idle workers never parked: before {before:?}, after {now:?}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        };
         assert_eq!(
             after.spin_yield_count, before.spin_yield_count,
             "idle workers spin-yielded: before {before:?}, after {after:?}"

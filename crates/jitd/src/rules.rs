@@ -664,8 +664,8 @@ pub fn full_rules(schema: &Arc<Schema>, config: RuleConfig) -> RuleSet {
 /// count; what scales with `extra` is pure *match effort*. The shared
 /// structure is the point: the compiled automaton collapses all probes
 /// (and their shared prefix) into one trie path walked once per
-/// candidate node, while the per-rule baseline pays one full pattern
-/// evaluation per probe per `BinTree` it visits.
+/// candidate node, where evaluating each pattern separately would pay
+/// one full evaluation per probe per `BinTree` visited.
 pub fn scaled_rules(schema: &Arc<Schema>, config: RuleConfig, extra: usize) -> RuleSet {
     let mut rules = paper_rules(schema, config);
     for i in 0..extra {
@@ -943,7 +943,11 @@ mod tests {
         // All probes bucket under BinTree and share one automaton path:
         // adding 8 structurally identical probes must not add 8 paths.
         let bintree = schema.expect_label("BinTree");
-        assert_eq!(rules.rules_by_root_label(bintree).len(), 8);
+        let bintree_rooted = rules
+            .iter()
+            .filter(|(_, r)| r.pattern.root_label() == Some(bintree))
+            .count();
+        assert_eq!(bintree_rooted, 8);
         let base = scaled_rules(&schema, small_config(), 1);
         assert_eq!(
             rules.automaton().state_count(),

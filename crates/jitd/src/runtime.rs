@@ -17,7 +17,7 @@ use treetoaster_core::{
 use tt_ast::Record;
 use tt_ivm::{ClassicIvm, DbtIvm};
 use tt_metrics::{now_ns, SummaryBuilder};
-use tt_pattern::{matches_with, AutomatonScratch, Bindings};
+use tt_pattern::AutomatonScratch;
 use tt_ycsb::Op;
 
 /// The five search strategies of the evaluation.
@@ -68,32 +68,14 @@ impl StrategyKind {
         }
     }
 
-    /// Instantiates the strategy for a rule set over `ast` (compiled
-    /// matching on, the default everywhere).
+    /// Instantiates the strategy for a rule set over `ast`.
     pub fn build(self, rules: Arc<RuleSet>, ast: &tt_ast::Ast) -> Box<dyn MatchSource> {
-        self.build_with(rules, ast, true)
-    }
-
-    /// [`build`](StrategyKind::build) with an explicit matcher choice:
-    /// `compiled = false` keeps the one-pattern-at-a-time evaluator as
-    /// the differential-testing baseline. Classic and DBT evaluate
-    /// matches relationally (the bolt-on IVM engines have no tree
-    /// pattern matcher to swap), so the flag only affects Naive, Index,
-    /// and TreeToaster.
-    pub fn build_with(
-        self,
-        rules: Arc<RuleSet>,
-        ast: &tt_ast::Ast,
-        compiled: bool,
-    ) -> Box<dyn MatchSource> {
         match self {
-            StrategyKind::Naive => Box::new(NaiveStrategy::new(rules).compiled(compiled)),
-            StrategyKind::Index => Box::new(IndexStrategy::new(rules, ast).compiled(compiled)),
+            StrategyKind::Naive => Box::new(NaiveStrategy::new(rules)),
+            StrategyKind::Index => Box::new(IndexStrategy::new(rules, ast)),
             StrategyKind::Classic => Box::new(ClassicIvm::new(rules, ast)),
             StrategyKind::Dbt => Box::new(DbtIvm::new(rules, ast)),
-            StrategyKind::TreeToaster => {
-                Box::new(TreeToasterEngine::new(rules).compiled_match(compiled))
-            }
+            StrategyKind::TreeToaster => Box::new(TreeToasterEngine::new(rules)),
         }
     }
 }
@@ -172,63 +154,40 @@ pub struct Jitd {
     strategy: Box<dyn MatchSource>,
     kind: StrategyKind,
     tick: u64,
-    /// Reusable binding environment for the per-rewrite match
-    /// re-derivation, so a steady-state reorganization step allocates
-    /// nothing outside the rewrite itself.
-    bindings: Bindings,
-    /// Scratch for the compiled re-derivation's straight-line program.
+    /// Scratch for the per-rewrite binding re-derivation; the bindings
+    /// it leaves are read in place, so a steady-state reorganization
+    /// step allocates nothing outside the rewrite itself.
     scratch: AutomatonScratch,
-    /// Matcher selection, mirrored into the strategy at construction.
-    compiled: bool,
     /// Collected measurements.
     pub stats: JitdStats,
 }
 
 impl Jitd {
     /// Builds a runtime with the paper's five rules, loads `records`,
-    /// and initializes the strategy (compiled matching on).
+    /// and initializes the strategy.
     pub fn new(kind: StrategyKind, config: RuleConfig, records: Vec<Record>) -> Jitd {
-        Self::with_matcher(kind, config, records, true)
-    }
-
-    /// [`new`](Jitd::new) with an explicit matcher choice —
-    /// `compiled = false` runs the one-pattern-at-a-time baseline
-    /// end to end (strategy search *and* binding re-derivation).
-    pub fn with_matcher(
-        kind: StrategyKind,
-        config: RuleConfig,
-        records: Vec<Record>,
-        compiled: bool,
-    ) -> Jitd {
         let schema = jitd_schema();
         let rules = Arc::new(paper_rules(&schema, config));
-        Self::with_rules_matcher(kind, rules, records, compiled)
+        Self::with_rules(kind, rules, records)
     }
 
-    /// Builds a runtime over an explicit rule set (compiled matching on).
+    /// Builds a runtime over an explicit rule set.
     pub fn with_rules(kind: StrategyKind, rules: Arc<RuleSet>, records: Vec<Record>) -> Jitd {
-        Self::with_rules_matcher(kind, rules, records, true)
-    }
-
-    /// Builds a runtime over an explicit rule set and matcher choice.
-    pub fn with_rules_matcher(
-        kind: StrategyKind,
-        rules: Arc<RuleSet>,
-        records: Vec<Record>,
-        compiled: bool,
-    ) -> Jitd {
         let index = JitdIndex::load(records);
-        let strategy = kind.build_with(rules.clone(), index.ast(), compiled);
-        Self::from_strategy(kind, rules, index, compiled, strategy)
+        let strategy = kind.build(rules.clone(), index.ast());
+        Self::from_strategy(kind, rules, index, true, strategy)
     }
 
     /// Builds a runtime around a caller-constructed strategy (e.g. a
     /// generic-mode [`treetoaster_core::TreeToasterEngine`], which
-    /// [`StrategyKind::build_with`] never produces) — the bench
-    /// rule-scale driver measures the subtree-walk maintenance path
-    /// through this. `kind` is only the reporting label; `compiled`
-    /// must match how `strategy` was configured so the runtime's
-    /// binding re-derivation takes the same matcher path.
+    /// [`StrategyKind::build`] never produces, or a tracing wrapper) —
+    /// the bench rule-scale driver measures the subtree-walk
+    /// maintenance path through this. `kind` is only the reporting
+    /// label.
+    ///
+    /// `compiled` must be `true`: the automaton is the only matcher. The
+    /// parameter is kept only so the `perfbench` call site still
+    /// compiles, and goes with the next change to that benchmark.
     pub fn from_strategy(
         kind: StrategyKind,
         rules: Arc<RuleSet>,
@@ -236,6 +195,10 @@ impl Jitd {
         compiled: bool,
         mut strategy: Box<dyn MatchSource>,
     ) -> Jitd {
+        assert!(
+            compiled,
+            "compiled must be true; kept for the benchmark's call site"
+        );
         strategy.rebuild(index.ast());
         let stats = JitdStats::new(rules.len());
         Jitd {
@@ -244,9 +207,7 @@ impl Jitd {
             strategy,
             kind,
             tick: 0,
-            bindings: Bindings::default(),
             scratch: AutomatonScratch::default(),
-            compiled,
             stats,
         }
     }
@@ -341,36 +302,26 @@ impl Jitd {
 
         self.stats.rule_matches[rule] += 1;
         let rule_def = self.rules.get(rule);
-        // Re-derive bindings into the runtime's reusable environment
-        // (strategies are charged equally for this step; see
-        // `MatchSource::find_one`). Compiled runs the rule's
-        // straight-line automaton program; baseline, the recursive
-        // evaluator.
-        let mut bindings = std::mem::take(&mut self.bindings);
-        let live = if self.compiled {
-            let hit =
-                self.rules
-                    .automaton()
-                    .run_rule(self.index.ast(), site, rule, &mut self.scratch);
-            if hit {
-                bindings.clone_from(self.scratch.bindings());
-            }
-            hit
-        } else {
-            matches_with(self.index.ast(), site, &rule_def.pattern, &mut bindings)
-        };
+        // Re-derive bindings with the rule's straight-line automaton
+        // program (strategies are charged equally for this step; see
+        // `MatchSource::find_one`).
+        let live = self
+            .rules
+            .automaton()
+            .run_rule(self.index.ast(), site, rule, &mut self.scratch);
         assert!(
             live,
             "strategy returned a stale match — view maintenance bug"
         );
+        let bindings = self.scratch.bindings();
 
         let m0 = now_ns();
         self.strategy
-            .before_replace(self.index.ast(), site, Some((rule, &bindings)));
+            .before_replace(self.index.ast(), site, Some((rule, bindings)));
         let pre_maintain = now_ns() - m0;
 
         let r0 = now_ns();
-        let applied = rule_def.apply(self.index.ast_mut(), site, &bindings, self.tick);
+        let applied = rule_def.apply(self.index.ast_mut(), site, bindings, self.tick);
         self.tick += 1;
         let rewrite_ns = now_ns() - r0;
 
@@ -382,14 +333,13 @@ impl Jitd {
             parent_update: applied.parent_update.as_ref(),
             rule: Some(RuleFired {
                 rule,
-                bindings: &bindings,
+                bindings,
                 applied: &applied,
             }),
         };
         let m1 = now_ns();
         self.strategy.after_replace(self.index.ast(), &ctx);
         let maintain_ns = pre_maintain + (now_ns() - m1);
-        self.bindings = bindings;
 
         self.stats.rewrite_ns[rule].push_u64(rewrite_ns);
         self.stats.maintain_ns[rule].push_u64(maintain_ns);
@@ -477,8 +427,7 @@ impl Jitd {
     }
 
     /// Per-epoch `(staged, canceled)` delta counters of the plugged-in
-    /// strategy (the adaptive batch-sizing signal), `None` for
-    /// strategies that stage nothing.
+    /// strategy, `None` for strategies that stage nothing.
     pub fn batch_cancellation(&self) -> Option<(u64, u64)> {
         self.strategy.batch_cancellation()
     }
@@ -525,6 +474,7 @@ impl Jitd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tt_pattern::{matches_with, Bindings};
     use tt_ycsb::{Workload, WorkloadSpec};
 
     fn records(n: i64) -> Vec<Record> {
@@ -639,39 +589,40 @@ mod tests {
 
     #[test]
     fn baseline_matcher_runtime_agrees_with_compiled() {
-        // Same op stream, same seed, matcher flipped: the two runtimes
-        // must fire the same rewrites and answer identical point reads.
-        // (Classic/DBT ignore the flag — their matching is relational.)
+        // The per-rule evaluator is the baseline: before every step, each
+        // site a strategy surfaces must be a match it accepts, with the
+        // bindings the automaton re-derives for the rewrite.
+        // (Classic/DBT find matches relationally; the same check holds.)
         let ops: Vec<Op> = {
             let mut workload = Workload::new(WorkloadSpec::standard('A'), 96, 5);
             (0..40).map(|_| workload.next_op()).collect()
         };
-        for kind in [
-            StrategyKind::Naive,
-            StrategyKind::Index,
-            StrategyKind::TreeToaster,
-        ] {
-            let cfg = RuleConfig { crack_threshold: 8 };
-            let mut compiled = Jitd::with_matcher(kind, cfg, records(96), true);
-            let mut baseline = Jitd::with_matcher(kind, cfg, records(96), false);
+        for kind in StrategyKind::all() {
+            let mut jitd = Jitd::new(kind, RuleConfig { crack_threshold: 8 }, records(96));
+            let mut checked = 0;
             for op in &ops {
-                compiled.execute(op);
-                baseline.execute(op);
-                compiled.reorganize_round();
-                baseline.reorganize_round();
+                jitd.execute(op);
+                for rid in 0..jitd.rules().len() {
+                    let rules = jitd.rules().clone();
+                    let ast = jitd.index.ast();
+                    if let Some(site) = jitd.strategy.find_one(ast, rid) {
+                        let mut oracle = Bindings::default();
+                        assert!(
+                            matches_with(ast, site, &rules.get(rid).pattern, &mut oracle),
+                            "{} surfaced a non-match for rule {rid}",
+                            kind.label()
+                        );
+                        assert!(rules
+                            .automaton()
+                            .run_rule(ast, site, rid, &mut jitd.scratch));
+                        assert_eq!(jitd.scratch.bindings(), &oracle);
+                        checked += 1;
+                    }
+                    jitd.reorganize_step(rid);
+                }
             }
-            assert_eq!(
-                compiled.stats.rule_rewrites,
-                baseline.stats.rule_rewrites,
-                "{} fired different rewrites across matchers",
-                kind.label()
-            );
-            assert!(compiled.stats.rule_matches.iter().sum::<u64>() > 0);
-            compiled.agreement_with_naive().unwrap();
-            baseline.agreement_with_naive().unwrap();
-            for key in 0..96 {
-                assert_eq!(compiled.index().get(key), baseline.index().get(key));
-            }
+            assert!(checked > 0, "{} surfaced no site", kind.label());
+            jitd.agreement_with_naive().unwrap();
         }
     }
 

@@ -397,7 +397,16 @@ mod tests {
                 )
             })
         };
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        // Raise the flag only once the consumer has parked, so the
+        // heartbeat (not the spin phase) is what observes it.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while q.stats().parked_count == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the consumer never parked"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
         stop.store(true, Ordering::Release);
         assert_eq!(consumer.join().unwrap(), None);
         assert!(q.stats().parked_count > 0, "the consumer actually parked");

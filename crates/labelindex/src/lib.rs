@@ -12,7 +12,7 @@
 //! workloads A and F).
 
 use tt_ast::{Ast, Label, NodeId, NodeMap, Schema};
-use tt_pattern::{match_node, Bindings, Pattern, PatternNode};
+use tt_pattern::{Pattern, PatternNode};
 
 /// One label's posting list: a dense vector for cheap iteration plus a
 /// page-backed position map (`tt_ast::dense::NodeMap`) for O(1) removal
@@ -107,38 +107,34 @@ impl LabelIndex {
     }
 
     /// Algorithm 1: scan the posting list for the pattern's root label,
-    /// re-checking the full pattern (recursive matches and constraints)
-    /// on each candidate. For an `AnyNode` root the whole tree matches,
-    /// so the AST root is returned (line 2 of the algorithm).
-    pub fn index_lookup(&self, ast: &Ast, pattern: &Pattern) -> Option<(NodeId, Bindings)> {
-        self.index_lookup_where(ast, pattern, |_, _| true)
-    }
-
-    /// [`index_lookup`](LabelIndex::index_lookup) restricted to candidates
-    /// passing `live`. Batched maintenance uses this as its read overlay:
-    /// posting-list entries staged for removal in an open epoch may point
-    /// at freed (or reused) arena slots, so they must be skipped *before*
-    /// the pattern matcher dereferences them.
-    pub fn index_lookup_where(
+    /// restricted to candidates passing `live`, and return the first
+    /// that `matches` accepts (the caller re-checks the full pattern —
+    /// recursive matches and constraints). `root_label` is `None` for
+    /// an `AnyNode` pattern root: the whole tree matches, so only the
+    /// AST root is checked (line 2 of the algorithm).
+    ///
+    /// Batched maintenance uses `live` as its read overlay: posting-list
+    /// entries staged for removal in an open epoch may point at freed
+    /// (or reused) arena slots, so they must be skipped *before* the
+    /// matcher dereferences them.
+    pub fn lookup_where(
         &self,
         ast: &Ast,
-        pattern: &Pattern,
+        root_label: Option<Label>,
         live: impl Fn(Label, NodeId) -> bool,
-    ) -> Option<(NodeId, Bindings)> {
-        match pattern.root() {
-            PatternNode::Any { .. } => {
+        mut matches: impl FnMut(NodeId) -> bool,
+    ) -> Option<NodeId> {
+        match root_label {
+            None => {
                 let root = ast.root();
-                if root.is_null() {
-                    None
-                } else {
-                    match_node(ast, root, pattern).map(|b| (root, b))
-                }
+                (!root.is_null() && matches(root)).then_some(root)
             }
-            PatternNode::Match { label, .. } => self
-                .nodes(*label)
+            Some(label) => self
+                .nodes(label)
                 .iter()
-                .filter(|&&n| live(*label, n))
-                .find_map(|&n| match_node(ast, n, pattern).map(|b| (n, b))),
+                .copied()
+                .filter(|&n| live(label, n))
+                .find(|&n| matches(n)),
         }
     }
 
@@ -168,6 +164,7 @@ mod tests {
     use tt_ast::schema::arith_schema;
     use tt_ast::sexpr::parse_sexpr;
     use tt_pattern::dsl::*;
+    use tt_pattern::{match_node, matches};
 
     fn tree(text: &str) -> (Ast, NodeId) {
         let mut ast = Ast::new(arith_schema());
@@ -210,8 +207,9 @@ mod tests {
         let (ast, root) = tree(r#"(Arith op="+" (Const val=0) (Var name="b"))"#);
         let idx = LabelIndex::build_from(&ast, root);
         let q = add_zero(&ast);
-        let (found, bindings) = idx.index_lookup(&ast, &q).unwrap();
-        assert_eq!(found, root);
+        let found = idx.lookup_where(&ast, q.root_label(), |_, _| true, |n| matches(&ast, n, &q));
+        assert_eq!(found, Some(root));
+        let bindings = match_node(&ast, root, &q).unwrap();
         assert_eq!(bindings.get(q.var("A").unwrap()), root);
     }
 
@@ -219,7 +217,9 @@ mod tests {
     fn lookup_misses_when_constraint_fails() {
         let (ast, root) = tree(r#"(Arith op="+" (Const val=3) (Var name="b"))"#);
         let idx = LabelIndex::build_from(&ast, root);
-        assert!(idx.index_lookup(&ast, &add_zero(&ast)).is_none());
+        let q = add_zero(&ast);
+        let found = idx.lookup_where(&ast, q.root_label(), |_, _| true, |n| matches(&ast, n, &q));
+        assert!(found.is_none());
     }
 
     #[test]
@@ -281,10 +281,12 @@ mod tests {
         let q = add_zero(&ast);
         let first = ast.children(root)[0];
         let second = ast.children(root)[1];
-        let (got, _) = idx.index_lookup_where(&ast, &q, |_, n| n != first).unwrap();
-        assert_eq!(got, second);
+        let label = q.root_label();
+        let check = |n| matches(&ast, n, &q);
+        let got = idx.lookup_where(&ast, label, |_, n| n != first, check);
+        assert_eq!(got, Some(second));
         assert!(idx
-            .index_lookup_where(&ast, &q, |_, n| n != first && n != second)
+            .lookup_where(&ast, label, |_, n| n != first && n != second, check)
             .is_none());
     }
 

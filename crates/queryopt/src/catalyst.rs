@@ -45,6 +45,10 @@ pub struct Breakdown {
     pub effective_count: u64,
     /// Rewrites constructed then aborted.
     pub ineffective_count: u64,
+    /// Pattern-match attempts: one per node a `transformDown` pass
+    /// tests (naive) or per view probe (TreeToaster) — the work count
+    /// behind `search_ns`.
+    pub match_attempts: u64,
     /// Outer-loop iterations run.
     pub iterations: u64,
     /// Plan size before optimization.
@@ -124,6 +128,7 @@ fn transform_down(ast: &mut Ast, opt: &OptRule, tick: &mut u64, bd: &mut Breakdo
         let s0 = now_ns();
         let matched = match_node(ast, node, &opt.rule.pattern);
         bd.search_ns += now_ns() - s0;
+        bd.match_attempts += 1;
         match matched {
             None => stack.extend_from_slice(ast.children(node)),
             Some(bindings) => {
@@ -200,6 +205,7 @@ fn optimize_tt(ast: &mut Ast, max_iterations: usize) -> Breakdown {
                 let s0 = now_ns();
                 let site = engine.find_one(ast, rid);
                 bd.search_ns += now_ns() - s0;
+                bd.match_attempts += 1;
                 let Some(site) = site else { break };
 
                 let e0 = now_ns();

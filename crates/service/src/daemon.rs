@@ -24,7 +24,8 @@
 //!   epoch, then recycles the slot as a fresh empty tree.
 
 use crate::protocol::{ErrorCode, Request, Response, SessionSnapshot};
-use std::sync::{Arc, Mutex};
+use parking_lot::Mutex;
+use std::sync::Arc;
 use treetoaster_core::{FleetConfig, RuleSet};
 use tt_ast::Record;
 use tt_jitd::{
@@ -44,6 +45,8 @@ enum Slot {
 
 /// The session table: slot states plus a free list, one lock for the
 /// bookkeeping only — tree operations run under the per-shard locks.
+/// The lock does not poison: a tenant thread that panics while holding
+/// it leaves the table to every other tenant.
 struct SessionTable {
     slots: Vec<Slot>,
     free: Vec<u32>,
@@ -108,12 +111,12 @@ impl Daemon {
 
     /// Session capacity (the admission bound).
     pub fn capacity(&self) -> usize {
-        self.sessions.lock().unwrap().slots.len()
+        self.sessions.lock().slots.len()
     }
 
     /// Currently open sessions.
     pub fn open_sessions(&self) -> usize {
-        let table = self.sessions.lock().unwrap();
+        let table = self.sessions.lock();
         table.slots.len() - table.free.len()
     }
 
@@ -139,7 +142,7 @@ impl Daemon {
     /// Validates that `session` is an open slot; runs `f` if so.
     fn with_open(&self, session: u32, f: impl FnOnce() -> Response) -> Response {
         let ok = {
-            let table = self.sessions.lock().unwrap();
+            let table = self.sessions.lock();
             matches!(table.slots.get(session as usize), Some(Slot::Open { .. }))
         };
         if ok {
@@ -156,7 +159,7 @@ impl Daemon {
         // Reserve the slot under the table lock; preload outside it so
         // a large open never blocks other tenants' bookkeeping.
         let slot = {
-            let mut table = self.sessions.lock().unwrap();
+            let mut table = self.sessions.lock();
             match table.free.pop() {
                 Some(slot) => {
                     table.slots[slot as usize] = Slot::Open { ops_in_epoch: 0 };
@@ -197,7 +200,7 @@ impl Daemon {
         // whether this op closes the epoch; the tree work runs after,
         // under the shard lock only.
         let seal = {
-            let mut table = self.sessions.lock().unwrap();
+            let mut table = self.sessions.lock();
             match table.slots.get_mut(session as usize) {
                 Some(Slot::Open { ops_in_epoch }) => {
                     *ops_in_epoch += 1;
@@ -274,7 +277,7 @@ impl Daemon {
         // Free the slot only after the drain, so a racing open cannot
         // be handed a tree that is still being recycled.
         let claimed = {
-            let mut table = self.sessions.lock().unwrap();
+            let mut table = self.sessions.lock();
             match table.slots.get_mut(session as usize) {
                 Some(state @ Slot::Open { .. }) => {
                     // Mark closed-in-progress by keeping it out of the
@@ -293,7 +296,7 @@ impl Daemon {
             };
         }
         let rewrites = self.drain_shard(session as usize);
-        self.sessions.lock().unwrap().free.push(session);
+        self.sessions.lock().free.push(session);
         Response::Closed { rewrites }
     }
 
@@ -319,7 +322,7 @@ impl Daemon {
     /// shutdown path behind SIGTERM / [`Request::Stop`].
     pub fn drain(&self) -> DrainReport {
         let open: Vec<u32> = {
-            let table = self.sessions.lock().unwrap();
+            let table = self.sessions.lock();
             (0..table.slots.len() as u32)
                 .filter(|&s| matches!(table.slots[s as usize], Slot::Open { .. }))
                 .collect()
@@ -338,5 +341,67 @@ impl Daemon {
     /// probes); sessions map 1:1 onto shards.
     pub fn pool(&self) -> &AsyncJitd {
         &self.pool
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panic_under_the_session_lock_does_not_poison_other_sessions() {
+        let daemon = Daemon::new(
+            StrategyKind::TreeToaster,
+            FleetConfig::default().sessions(4).workers(1),
+        );
+        let Response::Opened { session } = daemon.handle(&Request::Open {
+            records: 64,
+            seed: 1,
+        }) else {
+            panic!("open refused");
+        };
+        let crashed = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _table = daemon.sessions.lock();
+                panic!("tenant thread dies holding the session table");
+            })
+            .join()
+        });
+        assert!(crashed.is_err(), "the tenant thread panicked");
+        // The session opened before the panic keeps serving…
+        let replaced = daemon.handle(&Request::Replace {
+            session,
+            key: 3,
+            value: 99,
+        });
+        assert_eq!(replaced, Response::Replaced);
+        assert_eq!(
+            daemon.handle(&Request::Find { session, key: 3 }),
+            Response::Found { value: Some(99) }
+        );
+        // …and a new tenant can still open, write and read.
+        let Response::Opened { session: other } = daemon.handle(&Request::Open {
+            records: 64,
+            seed: 2,
+        }) else {
+            panic!("open refused after the panic");
+        };
+        assert_ne!(other, session);
+        assert_eq!(
+            daemon.handle(&Request::Replace {
+                session: other,
+                key: 5,
+                value: 7,
+            }),
+            Response::Replaced
+        );
+        assert_eq!(
+            daemon.handle(&Request::Find {
+                session: other,
+                key: 5
+            }),
+            Response::Found { value: Some(7) }
+        );
+        assert_eq!(daemon.drain().sessions_closed, 2);
     }
 }

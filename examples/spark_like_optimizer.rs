@@ -69,5 +69,6 @@ fn accumulate(into: &mut Breakdown, from: &Breakdown) {
     into.maintain_ns += from.maintain_ns;
     into.effective_count += from.effective_count;
     into.ineffective_count += from.ineffective_count;
+    into.match_attempts += from.match_attempts;
     into.iterations += from.iterations;
 }
