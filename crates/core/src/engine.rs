@@ -39,7 +39,6 @@ pub enum MaintenanceMode {
 pub struct TreeToasterEngine {
     rules: Arc<RuleSet>,
     views: Vec<MatchView>,
-    matrix: InlineMatrix,
     mode: MaintenanceMode,
     /// Open maintenance epoch: deltas stage here (and cancel) instead of
     /// touching the views. `None` = immediate (K=1) maintenance.
@@ -65,18 +64,16 @@ impl TreeToasterEngine {
         Self::with_mode(rules, MaintenanceMode::Inlined)
     }
 
-    /// Builds an engine with an explicit maintenance mode. The
-    /// Definition-7 safety bits come from the rule set's construction-time
-    /// cache ([`RuleSet::inlineable`]) — fleets sharing one
-    /// `Arc<RuleSet>` across thousands of shards no longer re-derive the
-    /// classification per shard.
+    /// Builds an engine with an explicit maintenance mode. The inlined
+    /// plans are the rule set's construction-time matrix
+    /// ([`RuleSet::inline_matrix`]), so engines sharing one `Arc<RuleSet>`
+    /// — thousands of fleet shards, or one engine per optimized plan —
+    /// share one matrix and only allocate their views here.
     pub fn with_mode(rules: Arc<RuleSet>, mode: MaintenanceMode) -> Self {
-        let matrix = InlineMatrix::build(&rules);
         let views = (0..rules.len()).map(|_| MatchView::new()).collect();
         Self {
             rules,
             views,
-            matrix,
             mode,
             batch: None,
             sealed: None,
@@ -101,7 +98,7 @@ impl TreeToasterEngine {
 
     /// Routes one view delta through the open epoch (or straight into
     /// the view when none is open). Takes the fields directly so callers
-    /// holding a borrow of `self.matrix` or `self.rules` can still stage.
+    /// holding a borrow of `self.rules` can still stage.
     #[inline]
     fn stage_into(
         batch: &mut Option<DeltaBuffer>,
@@ -124,6 +121,12 @@ impl TreeToasterEngine {
     /// The active maintenance mode.
     pub fn mode(&self) -> MaintenanceMode {
         self.mode
+    }
+
+    /// The Algorithm-3 plans this engine maintains with: its rule set's
+    /// matrix, shared with every other engine over the same `Arc<RuleSet>`.
+    pub fn inline_matrix(&self) -> &Arc<InlineMatrix> {
+        self.rules.inline_matrix()
     }
 
     /// Test oracle: every view must equal a from-scratch scan
@@ -192,11 +195,11 @@ impl TreeToasterEngine {
             rules,
             views,
             batch,
-            matrix,
             scratch,
             ..
         } = self;
         let auto = rules.automaton();
+        let matrix = rules.inline_matrix();
         for id in 0..rules.len() {
             let plan = matrix.plan(id, fired).expect("caller checked plan exists");
             for &var in &plan.removed_candidates {
@@ -221,11 +224,11 @@ impl TreeToasterEngine {
             rules,
             views,
             batch,
-            matrix,
             scratch,
             ..
         } = self;
         let auto = rules.automaton();
+        let matrix = rules.inline_matrix();
         for id in 0..rules.len() {
             let plan = matrix.plan(id, fired).expect("caller checked plan exists");
             for &gi in &plan.gen_candidates {
@@ -854,6 +857,27 @@ mod tests {
         assert!(engine.check_consistent(&ast).is_err());
         engine.commit_batch();
         engine.check_consistent(&ast).unwrap();
+    }
+
+    #[test]
+    fn engines_over_one_rule_set_share_one_inline_matrix() {
+        let shared = rules();
+        let a = TreeToasterEngine::new(shared.clone());
+        let b = TreeToasterEngine::with_mode(shared.clone(), MaintenanceMode::Generic);
+        assert!(Arc::ptr_eq(a.inline_matrix(), b.inline_matrix()));
+        assert!(Arc::ptr_eq(a.inline_matrix(), shared.inline_matrix()));
+        // A separately compiled rule set brings its own matrix with the
+        // same plans.
+        let other = TreeToasterEngine::new(rules());
+        assert!(!Arc::ptr_eq(a.inline_matrix(), other.inline_matrix()));
+        for view in 0..shared.len() {
+            for fired in 0..shared.len() {
+                assert_eq!(
+                    a.inline_matrix().plan(view, fired),
+                    other.inline_matrix().plan(view, fired)
+                );
+            }
+        }
     }
 
     #[test]

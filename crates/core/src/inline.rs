@@ -22,7 +22,7 @@
 //! `Reuse` moves a subtree without changing its interior.
 
 use crate::generator::{GenNode, GenPath};
-use crate::rules::{RewriteRule, RuleSet};
+use crate::rules::RewriteRule;
 use tt_pattern::{Pattern, PatternNode, VarId};
 
 /// The per-(view, rule) maintenance plan.
@@ -50,6 +50,10 @@ impl CompiledRulePlan {
 /// Plans for every (view pattern, fired rule) pair of a rule set. Rules
 /// that fail the Definition-7 safety check get no plans (the engine falls
 /// back to the maximal-search-set path for them).
+///
+/// [`RuleSet::from_rules`](crate::RuleSet::from_rules) builds the matrix
+/// once, beside the automaton, and every engine over that rule set shares
+/// it through [`RuleSet::inline_matrix`](crate::RuleSet::inline_matrix).
 #[derive(Debug)]
 pub struct InlineMatrix {
     /// `plans[view][rule]`; `None` when `rule` is not safe for inlining.
@@ -58,14 +62,14 @@ pub struct InlineMatrix {
 
 impl InlineMatrix {
     /// Builds the matrix for `rules` (views are the rules' own patterns,
-    /// one per rule, as in the paper's evaluation).
-    pub fn build(rules: &RuleSet) -> InlineMatrix {
+    /// one per rule, as in the paper's evaluation; ids are indices).
+    pub fn build(rules: &[RewriteRule]) -> InlineMatrix {
         let plans = rules
             .iter()
-            .map(|(_, view_rule)| {
+            .map(|view_rule| {
                 rules
                     .iter()
-                    .map(|(_, fired)| {
+                    .map(|fired| {
                         fired
                             .safe_for_inline()
                             .then(|| compile_plan(&view_rule.pattern, fired))
@@ -208,7 +212,7 @@ fn align_h_pat(q: &PatternNode, m: &PatternNode, d: usize) -> bool {
 mod tests {
     use super::*;
     use crate::generator::{aconst, gen, reuse};
-    use crate::rules::RewriteRule;
+    use crate::rules::RuleSet;
     use std::sync::Arc;
     use tt_ast::schema::arith_schema;
     use tt_ast::{Schema, Value};
@@ -242,7 +246,7 @@ mod tests {
         let s = schema();
         let rule = RewriteRule::new("AddZero", &s, add_zero_pattern(&s), reuse("C"));
         let rules = RuleSet::from_rules(vec![rule]);
-        let m = InlineMatrix::build(&rules);
+        let m = rules.inline_matrix();
         let plan = m.plan(0, 0).expect("safe rule gets a plan");
         assert!(
             plan.gen_candidates.is_empty(),
@@ -277,7 +281,7 @@ mod tests {
             ),
         );
         let rules = RuleSet::from_rules(vec![rule]);
-        let m = InlineMatrix::build(&rules);
+        let m = rules.inline_matrix();
         let plan = m.plan(0, 0).unwrap();
         assert_eq!(plan.gen_candidates, vec![0], "only the root Gen aligns");
     }
@@ -296,7 +300,7 @@ mod tests {
         );
         let q_rule = RewriteRule::new("AddZero", &s, add_zero_pattern(&s), reuse("C"));
         let rules = RuleSet::from_rules(vec![q_rule, rule]);
-        let m = InlineMatrix::build(&rules);
+        let m = rules.inline_matrix();
         // Maintaining view 0 (AddZero) after rule 1 (VarToConst) fires:
         let plan = m.plan(0, 1).unwrap();
         assert!(
@@ -348,7 +352,7 @@ mod tests {
             gen("Const", [("val", aconst(Value::Int(0)))], []),
         );
         let rules = RuleSet::from_rules(vec![qrule, fired]);
-        let m = InlineMatrix::build(&rules);
+        let m = rules.inline_matrix();
         let plan = m.plan(0, 1).unwrap();
         // Height 2 aligns through the Const position. Height 1 is also
         // kept because q has an AnyNode child at depth 1 and the paper's
@@ -373,7 +377,7 @@ mod tests {
         );
         let unsafe_rule = RewriteRule::new("Drop", &s, pat, reuse("V"));
         let rules = RuleSet::from_rules(vec![unsafe_rule]);
-        let m = InlineMatrix::build(&rules);
+        let m = rules.inline_matrix();
         assert!(m.plan(0, 0).is_none());
     }
 
@@ -404,7 +408,7 @@ mod tests {
             gen("Const", [("val", aconst(Value::Int(0)))], []),
         );
         let rules = RuleSet::from_rules(vec![qrule, fired]);
-        let m = InlineMatrix::build(&rules);
+        let m = rules.inline_matrix();
         let plan = m.plan(0, 1).unwrap();
         assert!(plan.gen_candidates.is_empty());
     }

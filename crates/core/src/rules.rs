@@ -8,6 +8,7 @@
 //! positions are actually destroyed by an application.
 
 use crate::generator::{compile_generator, GenNode, GenSpec};
+use crate::inline::InlineMatrix;
 use std::sync::Arc;
 use tt_ast::{Ast, FxHashMap, Label, NodeId, NodeRow, Schema};
 use tt_pattern::{Bindings, MatchAutomaton, Pattern, PatternNode, VarId};
@@ -207,10 +208,11 @@ impl AppliedRewrite {
 ///
 /// Construction eagerly derives everything the matchers and engines used
 /// to recompute per consumer: the compiled [`MatchAutomaton`] over all
-/// patterns, the name → id index, and the Definition-7
-/// [`RewriteRule::safe_for_inline`] bits. Rule sets are tiny and shared
-/// via `Arc` by whole fleets of engines, so paying once here is the
-/// right trade.
+/// patterns, the name → id index, the Definition-7
+/// [`RewriteRule::safe_for_inline`] bits, and the Algorithm-3
+/// [`InlineMatrix`] derived from them. Rule sets are tiny and shared via
+/// `Arc` by whole fleets of engines, so paying once here is the right
+/// trade: building an engine then only allocates its views.
 #[derive(Debug)]
 pub struct RuleSet {
     rules: Vec<RewriteRule>,
@@ -220,6 +222,9 @@ pub struct RuleSet {
     name_index: FxHashMap<String, usize>,
     /// Cached [`RewriteRule::safe_for_inline`] per rule, dense by id.
     inlineable: Vec<bool>,
+    /// The inlined maintenance plans for every (view, fired rule) pair,
+    /// shared by every engine over this rule set.
+    matrix: Arc<InlineMatrix>,
 }
 
 impl Default for RuleSet {
@@ -243,11 +248,13 @@ impl RuleSet {
             name_index.entry(rule.name.clone()).or_insert(id);
             inlineable.push(rule.safe_for_inline());
         }
+        let matrix = Arc::new(InlineMatrix::build(&rules));
         Self {
             rules,
             automaton,
             name_index,
             inlineable,
+            matrix,
         }
     }
 
@@ -296,6 +303,12 @@ impl RuleSet {
     /// read this instead of re-deriving the classification per shard.
     pub fn inlineable(&self) -> &[bool] {
         &self.inlineable
+    }
+
+    /// The Algorithm-3 plans for every (view, fired rule) pair, built
+    /// once here so an engine over this rule set never rebuilds them.
+    pub fn inline_matrix(&self) -> &Arc<InlineMatrix> {
+        &self.matrix
     }
 }
 

@@ -7,6 +7,7 @@
 //! routes through `BinTree` separators (`key < sep` → left).
 
 use crate::schema::jitd_schema;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use tt_ast::{Ast, AttrName, Label, NodeId, Record, Value};
 
@@ -53,17 +54,13 @@ impl JitdLabels {
     }
 }
 
-/// Probe result during shadow-aware search.
-enum Probe {
-    Found(i64),
-    Tombstone,
-    Missing,
-}
-
 /// The index: an [`Ast`] plus the interned schema handles.
 pub struct JitdIndex {
     ast: Ast,
     labels: JitdLabels,
+    /// The read path's explicit stack, kept between calls so a `get`
+    /// allocates nothing once it has grown to the tree's fan-out.
+    stack: Cell<Vec<NodeId>>,
 }
 
 impl JitdIndex {
@@ -78,7 +75,7 @@ impl JitdIndex {
             vec![],
         );
         ast.set_root(root);
-        JitdIndex { ast, labels }
+        JitdIndex::over(ast, labels)
     }
 
     /// Loads `records` (sorted by key; duplicate keys last-wins) as one
@@ -97,7 +94,15 @@ impl JitdIndex {
             vec![],
         );
         ast.set_root(root);
-        JitdIndex { ast, labels }
+        JitdIndex::over(ast, labels)
+    }
+
+    fn over(ast: Ast, labels: JitdLabels) -> JitdIndex {
+        JitdIndex {
+            ast,
+            labels,
+            stack: Cell::new(Vec::new()),
+        }
     }
 
     /// The underlying AST.
@@ -115,59 +120,68 @@ impl JitdIndex {
         &self.labels
     }
 
-    /// Point lookup with shadowing semantics.
-    pub fn get(&self, key: i64) -> Option<i64> {
-        match self.probe(self.ast.root(), key) {
-            Probe::Found(v) => Some(v),
-            _ => None,
-        }
+    /// Runs `walk` with the emptied reusable stack, then puts it back.
+    fn with_stack<R>(&self, walk: impl FnOnce(&mut Vec<NodeId>) -> R) -> R {
+        let mut stack = self.stack.take();
+        stack.clear();
+        let out = walk(&mut stack);
+        self.stack.set(stack);
+        out
     }
 
-    fn probe(&self, node: NodeId, key: i64) -> Probe {
+    /// Point lookup with shadowing semantics.
+    pub fn get(&self, key: i64) -> Option<i64> {
+        self.with_stack(|pending| self.probe(key, pending))
+    }
+
+    /// Newest-first search without recursion: a `Concat` parks its older
+    /// (left) child on `pending` and descends into the newer (right) one;
+    /// a leaf that misses resumes at the most recently parked child. The
+    /// first value or tombstone found wins, so the answer is the one a
+    /// right-first recursive search gives, at no call-stack depth.
+    fn probe(&self, key: i64, pending: &mut Vec<NodeId>) -> Option<i64> {
         let l = &self.labels;
-        let label = self.ast.label(node);
-        if label == l.concat {
-            let ch = self.ast.children(node);
-            // Right child is newer.
-            match self.probe(ch[1], key) {
-                Probe::Missing => self.probe(ch[0], key),
-                hit => hit,
+        let mut node = self.ast.root();
+        loop {
+            let label = self.ast.label(node);
+            if label == l.concat {
+                let ch = self.ast.children(node);
+                pending.push(ch[0]);
+                node = ch[1];
+                continue;
             }
-        } else if label == l.bintree {
-            let sep = self.ast.attr(node, l.sep).as_int();
-            let ch = self.ast.children(node);
-            if key < sep {
-                self.probe(ch[0], key)
+            if label == l.bintree {
+                let sep = self.ast.attr(node, l.sep).as_int();
+                let ch = self.ast.children(node);
+                node = if key < sep { ch[0] } else { ch[1] };
+                continue;
+            }
+            if label == l.delete_singleton {
+                if self.ast.attr(node, l.key).as_int() == key {
+                    return None; // tombstone
+                }
+                node = self.ast.children(node)[0];
+                continue;
+            }
+            if label == l.singleton {
+                if self.ast.attr(node, l.key).as_int() == key {
+                    return Some(self.ast.attr(node, l.value).as_int());
+                }
             } else {
-                self.probe(ch[1], key)
+                debug_assert_eq!(label, l.array);
+                let data = self.ast.attr(node, l.data).as_recs();
+                if let Ok(at) = data.binary_search_by_key(&key, |r| r.key) {
+                    return Some(data[at].value);
+                }
             }
-        } else if label == l.singleton {
-            if self.ast.attr(node, l.key).as_int() == key {
-                Probe::Found(self.ast.attr(node, l.value).as_int())
-            } else {
-                Probe::Missing
-            }
-        } else if label == l.delete_singleton {
-            if self.ast.attr(node, l.key).as_int() == key {
-                Probe::Tombstone
-            } else {
-                self.probe(self.ast.children(node)[0], key)
-            }
-        } else {
-            debug_assert_eq!(label, l.array);
-            let data = self.ast.attr(node, l.data).as_recs();
-            match data.binary_search_by_key(&key, |r| r.key) {
-                Ok(at) => Probe::Found(data[at].value),
-                Err(_) => Probe::Missing,
-            }
+            node = pending.pop()?;
         }
     }
 
     /// Range scan: up to `n` live records with `key ≥ low`, ascending.
     pub fn scan(&self, low: i64, n: usize) -> Vec<Record> {
         let mut acc: BTreeMap<i64, ScanEntry> = BTreeMap::new();
-        // First writer wins, so traverse newest-first.
-        self.collect(self.ast.root(), low, &mut acc);
+        self.with_stack(|pending| self.collect(low, &mut acc, pending));
         acc.into_iter()
             .filter_map(|(k, e)| match e {
                 ScanEntry::Val(v) => Some(Record::new(k, v)),
@@ -177,37 +191,43 @@ impl JitdIndex {
             .collect()
     }
 
-    fn collect(&self, node: NodeId, low: i64, acc: &mut BTreeMap<i64, ScanEntry>) {
+    /// First writer wins, so the walk visits newest-first: children are
+    /// pushed in reverse of the order a recursive walk would visit them,
+    /// and each subtree is finished before its older sibling is popped.
+    fn collect(&self, low: i64, acc: &mut BTreeMap<i64, ScanEntry>, pending: &mut Vec<NodeId>) {
         let l = &self.labels;
-        let label = self.ast.label(node);
-        if label == l.concat {
-            let ch = self.ast.children(node);
-            self.collect(ch[1], low, acc); // newer first
-            self.collect(ch[0], low, acc);
-        } else if label == l.bintree {
-            let sep = self.ast.attr(node, l.sep).as_int();
-            let ch = self.ast.children(node);
-            if low < sep {
-                self.collect(ch[0], low, acc);
-            }
-            self.collect(ch[1], low, acc);
-        } else if label == l.singleton {
-            let key = self.ast.attr(node, l.key).as_int();
-            if key >= low {
-                acc.entry(key)
-                    .or_insert(ScanEntry::Val(self.ast.attr(node, l.value).as_int()));
-            }
-        } else if label == l.delete_singleton {
-            let key = self.ast.attr(node, l.key).as_int();
-            if key >= low {
-                acc.entry(key).or_insert(ScanEntry::Tomb);
-            }
-            self.collect(self.ast.children(node)[0], low, acc);
-        } else {
-            let data = self.ast.attr(node, l.data).as_recs();
-            let start = data.partition_point(|r| r.key < low);
-            for r in &data[start..] {
-                acc.entry(r.key).or_insert(ScanEntry::Val(r.value));
+        pending.push(self.ast.root());
+        while let Some(node) = pending.pop() {
+            let label = self.ast.label(node);
+            if label == l.concat {
+                let ch = self.ast.children(node);
+                pending.push(ch[0]);
+                pending.push(ch[1]); // newer first
+            } else if label == l.bintree {
+                let sep = self.ast.attr(node, l.sep).as_int();
+                let ch = self.ast.children(node);
+                pending.push(ch[1]);
+                if low < sep {
+                    pending.push(ch[0]);
+                }
+            } else if label == l.singleton {
+                let key = self.ast.attr(node, l.key).as_int();
+                if key >= low {
+                    acc.entry(key)
+                        .or_insert(ScanEntry::Val(self.ast.attr(node, l.value).as_int()));
+                }
+            } else if label == l.delete_singleton {
+                let key = self.ast.attr(node, l.key).as_int();
+                if key >= low {
+                    acc.entry(key).or_insert(ScanEntry::Tomb);
+                }
+                pending.push(self.ast.children(node)[0]);
+            } else {
+                let data = self.ast.attr(node, l.data).as_recs();
+                let start = data.partition_point(|r| r.key < low);
+                for r in &data[start..] {
+                    acc.entry(r.key).or_insert(ScanEntry::Val(r.value));
+                }
             }
         }
     }
@@ -244,56 +264,62 @@ impl JitdIndex {
     /// key ranges and Array `size` attributes match their data.
     pub fn check_structure(&self) -> Result<(), String> {
         self.ast.validate()?;
-        self.check_range(self.ast.root(), i64::MIN, i64::MAX)
+        self.check_ranges()
     }
 
-    fn check_range(&self, node: NodeId, lo: i64, hi: i64) -> Result<(), String> {
+    /// Walks the tree with an explicit stack of `(node, lo, hi)` key
+    /// ranges, so a check of a deep spine costs no call-stack depth;
+    /// children are pushed in reverse so the first error found is the
+    /// one a left-to-right recursive walk would report.
+    fn check_ranges(&self) -> Result<(), String> {
         let l = &self.labels;
-        let label = self.ast.label(node);
-        let in_range = |k: i64| lo <= k && k < hi;
-        if label == l.bintree {
-            let sep = self.ast.attr(node, l.sep).as_int();
-            if !in_range(sep) {
-                return Err(format!("separator {sep} outside [{lo},{hi}) at {node:?}"));
-            }
-            let ch = self.ast.children(node);
-            self.check_range(ch[0], lo, sep)?;
-            self.check_range(ch[1], sep, hi)
-        } else if label == l.concat {
-            let ch = self.ast.children(node);
-            self.check_range(ch[0], lo, hi)?;
-            self.check_range(ch[1], lo, hi)
-        } else if label == l.delete_singleton {
-            let k = self.ast.attr(node, l.key).as_int();
-            if !in_range(k) {
-                return Err(format!("tombstone key {k} outside [{lo},{hi})"));
-            }
-            self.check_range(self.ast.children(node)[0], lo, hi)
-        } else if label == l.singleton {
-            let k = self.ast.attr(node, l.key).as_int();
-            if !in_range(k) {
-                return Err(format!("singleton key {k} outside [{lo},{hi})"));
-            }
-            Ok(())
-        } else {
-            let data = self.ast.attr(node, l.data).as_recs();
-            let size = self.ast.attr(node, l.size).as_int();
-            if size as usize != data.len() {
-                return Err(format!("array size attr {size} != data len {}", data.len()));
-            }
-            if !data.windows(2).all(|w| w[0].key < w[1].key) {
-                return Err("array not strictly sorted".into());
-            }
-            if let (Some(first), Some(last)) = (data.first(), data.last()) {
-                if !in_range(first.key) || !in_range(last.key) {
-                    return Err(format!(
-                        "array range [{},{}] outside [{lo},{hi})",
-                        first.key, last.key
-                    ));
+        let mut pending = vec![(self.ast.root(), i64::MIN, i64::MAX)];
+        while let Some((node, lo, hi)) = pending.pop() {
+            let label = self.ast.label(node);
+            let in_range = |k: i64| lo <= k && k < hi;
+            if label == l.bintree {
+                let sep = self.ast.attr(node, l.sep).as_int();
+                if !in_range(sep) {
+                    return Err(format!("separator {sep} outside [{lo},{hi}) at {node:?}"));
+                }
+                let ch = self.ast.children(node);
+                pending.push((ch[1], sep, hi));
+                pending.push((ch[0], lo, sep));
+            } else if label == l.concat {
+                let ch = self.ast.children(node);
+                pending.push((ch[1], lo, hi));
+                pending.push((ch[0], lo, hi));
+            } else if label == l.delete_singleton {
+                let k = self.ast.attr(node, l.key).as_int();
+                if !in_range(k) {
+                    return Err(format!("tombstone key {k} outside [{lo},{hi})"));
+                }
+                pending.push((self.ast.children(node)[0], lo, hi));
+            } else if label == l.singleton {
+                let k = self.ast.attr(node, l.key).as_int();
+                if !in_range(k) {
+                    return Err(format!("singleton key {k} outside [{lo},{hi})"));
+                }
+            } else {
+                let data = self.ast.attr(node, l.data).as_recs();
+                let size = self.ast.attr(node, l.size).as_int();
+                if size as usize != data.len() {
+                    return Err(format!("array size attr {size} != data len {}", data.len()));
+                }
+                if !data.windows(2).all(|w| w[0].key < w[1].key) {
+                    return Err("array not strictly sorted".into());
+                }
+                if let (Some(first), Some(last)) = (data.first(), data.last()) {
+                    if !in_range(first.key) || !in_range(last.key) {
+                        return Err(format!(
+                            "array range [{},{}] outside [{lo},{hi})",
+                            first.key, last.key
+                        ));
+                    }
                 }
             }
-            Ok(())
         }
+        Ok(())
     }
 }
 
@@ -366,6 +392,75 @@ mod tests {
         assert_eq!(idx.get(1), None);
         assert!(idx.scan(0, 5).is_empty());
         idx.check_structure().unwrap();
+    }
+
+    /// The read path and the structure check must not recurse per tree
+    /// level: with reorganization off, every write deepens the
+    /// `Concat`/`DeleteSingleton` spine, and a recursive walk overflows a
+    /// small thread stack long before 100 000 levels.
+    #[test]
+    fn reads_survive_a_deep_spine_on_a_small_stack() {
+        const DEPTH: i64 = 100_000;
+        const KEYS: i64 = 5_000;
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let loaded: Vec<(i64, i64)> = (0..KEYS).step_by(2).map(|k| (k, k)).collect();
+                let mut model: BTreeMap<i64, i64> = loaded.iter().copied().collect();
+                let mut idx = JitdIndex::load(recs(&loaded));
+                let mut concats = 0;
+                let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+                while concats < DEPTH {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    let key = (rng % KEYS as u64) as i64;
+                    if rng.is_multiple_of(8) {
+                        idx.wrap_delete(key);
+                        model.remove(&key);
+                    } else {
+                        idx.wrap_insert(key, concats);
+                        model.insert(key, concats);
+                        concats += 1;
+                    }
+                }
+                // Each probe of a key the spine never wrote walks all of it.
+                for key in (-1..=KEYS).step_by(23) {
+                    assert_eq!(idx.get(key), model.get(&key).copied(), "key {key}");
+                }
+                let want = |low: i64, n: usize| -> Vec<Record> {
+                    model
+                        .range(low..)
+                        .take(n)
+                        .map(|(&k, &v)| Record::new(k, v))
+                        .collect()
+                };
+                assert_eq!(idx.scan(i64::MIN, usize::MAX), want(i64::MIN, usize::MAX));
+                assert_eq!(idx.scan(KEYS / 3, 50), want(KEYS / 3, 50));
+                idx.check_structure().unwrap();
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn check_structure_reports_the_first_misplaced_key() {
+        // Both subtrees break their separator's range; the left one is
+        // reported, as a left-to-right walk meets it first.
+        let mut idx = JitdIndex::new();
+        let root = tt_ast::sexpr::parse_sexpr(
+            idx.ast_mut(),
+            "(BinTree sep=5 \
+               (Concat (Array data=[1:1] size=1) (Singleton key=7 value=7)) \
+               (DeleteSingleton key=3 (Array data=[9:9] size=1)))",
+        )
+        .unwrap();
+        idx.ast_mut().set_root(root);
+        assert_eq!(
+            idx.check_structure().unwrap_err(),
+            format!("singleton key 7 outside [{},5)", i64::MIN)
+        );
     }
 
     #[test]

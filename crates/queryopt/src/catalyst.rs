@@ -12,10 +12,17 @@
 //!   ablation: folded (all-effective) rules with TreeToaster views;
 //!   search collapses to O(1) view pops and the fixpoint test to
 //!   emptiness checks.
+//!
+//! Rules are compiled once, not per plan: an [`Optimizer`] owns both
+//! compiled forms for one schema, and [`optimize`] serves every plan
+//! built on [`plan_schema`] from one process-wide `Optimizer`.
 
+use crate::orca::OrcaBreakdown;
 use crate::rules::{catalyst_rules, catalyst_ruleset, OptRule};
-use treetoaster_core::{MatchCore, ReplaceCtx, RuleFired, TreeToasterEngine};
-use tt_ast::Ast;
+use crate::schema::plan_schema;
+use std::sync::{Arc, OnceLock};
+use treetoaster_core::{MatchCore, ReplaceCtx, RuleFired, RuleSet, TreeToasterEngine};
+use tt_ast::{Ast, Schema};
 use tt_metrics::now_ns;
 use tt_pattern::{match_node, TreeAttrs};
 
@@ -78,17 +85,78 @@ impl Breakdown {
     }
 }
 
-/// Optimizes the plan in place until a fixpoint or `max_iterations`.
-pub fn optimize(ast: &mut Ast, mode: SearchMode, max_iterations: usize) -> Breakdown {
-    match mode {
-        SearchMode::NaiveScan => optimize_naive(ast, max_iterations),
-        SearchMode::TreeToasterViews => optimize_tt(ast, max_iterations),
+/// The Catalyst rules compiled for one schema, ready to optimize any
+/// number of plans over it.
+///
+/// Compiling is the fixed cost of an optimizer call — patterns, the
+/// match automaton and the inlined maintenance plans — so it is paid once
+/// here, as a compiler compiles its rewrite rules once rather than per
+/// function. Each [`Optimizer::optimize`] call in
+/// [`SearchMode::TreeToasterViews`] still builds a fresh engine over the
+/// shared rule set; that costs only its views, and no engine state
+/// crosses plans.
+pub struct Optimizer {
+    schema: Arc<Schema>,
+    /// Weak ∧ precise rules as one rule set, for TreeToaster views.
+    folded: Arc<RuleSet>,
+    /// Weak guards with separate precise checks, for the naive scan and
+    /// the Orca-style driver.
+    unfolded: Arc<[OptRule]>,
+}
+
+impl Optimizer {
+    /// Compiles both rule forms against `schema`.
+    pub fn new(schema: &Arc<Schema>) -> Optimizer {
+        Optimizer {
+            schema: schema.clone(),
+            folded: catalyst_ruleset(schema),
+            unfolded: catalyst_rules(schema, false).into(),
+        }
+    }
+
+    /// Runs `f` with the optimizer for plans over `schema`: the
+    /// process-wide one when `schema` is [`plan_schema`]'s, otherwise one
+    /// compiled for this call.
+    pub fn with<R>(schema: &Arc<Schema>, f: impl FnOnce(&Optimizer) -> R) -> R {
+        static SHARED: OnceLock<Optimizer> = OnceLock::new();
+        let shared = SHARED.get_or_init(|| Optimizer::new(&plan_schema()));
+        if Arc::ptr_eq(schema, &shared.schema) {
+            f(shared)
+        } else {
+            f(&Optimizer::new(schema))
+        }
+    }
+
+    /// The folded rule set every [`SearchMode::TreeToasterViews`] engine
+    /// shares.
+    pub fn ruleset(&self) -> &Arc<RuleSet> {
+        &self.folded
+    }
+
+    /// Optimizes the plan in place until a fixpoint or `max_iterations`.
+    pub fn optimize(&self, ast: &mut Ast, mode: SearchMode, max_iterations: usize) -> Breakdown {
+        match mode {
+            SearchMode::NaiveScan => optimize_naive(ast, &self.unfolded, max_iterations),
+            SearchMode::TreeToasterViews => optimize_tt(ast, &self.folded, max_iterations),
+        }
+    }
+
+    /// Runs the Orca-style driver over the unfolded rules to quiescence
+    /// (or `max_tasks`).
+    pub fn optimize_orca(&self, ast: &mut Ast, max_tasks: u64) -> OrcaBreakdown {
+        crate::orca::run(ast, &self.unfolded, max_tasks)
     }
 }
 
-fn optimize_naive(ast: &mut Ast, max_iterations: usize) -> Breakdown {
+/// Optimizes the plan in place until a fixpoint or `max_iterations`,
+/// with the rules compiled once for the plan's schema
+/// ([`Optimizer::with`]).
+pub fn optimize(ast: &mut Ast, mode: SearchMode, max_iterations: usize) -> Breakdown {
     let schema = ast.schema().clone();
-    let rules = catalyst_rules(&schema, false);
+    Optimizer::with(&schema, |opt| opt.optimize(ast, mode, max_iterations))
+}
+
+fn optimize_naive(ast: &mut Ast, rules: &[OptRule], max_iterations: usize) -> Breakdown {
     let mut bd = Breakdown {
         initial_size: ast.subtree_size(ast.root()),
         ..Default::default()
@@ -103,7 +171,7 @@ fn optimize_naive(ast: &mut Ast, max_iterations: usize) -> Breakdown {
         let before = ast.structural_hash(ast.root());
         bd.fixpoint_ns += now_ns() - f0;
 
-        for rule in &rules {
+        for rule in rules {
             transform_down(ast, rule, &mut tick, &mut bd);
         }
 
@@ -183,9 +251,7 @@ fn transform_down(ast: &mut Ast, opt: &OptRule, tick: &mut u64, bd: &mut Breakdo
     }
 }
 
-fn optimize_tt(ast: &mut Ast, max_iterations: usize) -> Breakdown {
-    let schema = ast.schema().clone();
-    let rules = catalyst_ruleset(&schema);
+fn optimize_tt(ast: &mut Ast, rules: &Arc<RuleSet>, max_iterations: usize) -> Breakdown {
     let mut engine = TreeToasterEngine::new(rules.clone());
     let mut bd = Breakdown {
         initial_size: ast.subtree_size(ast.root()),

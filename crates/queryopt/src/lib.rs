@@ -36,6 +36,6 @@ pub mod rules;
 pub mod schema;
 pub mod tpch;
 
-pub use catalyst::{optimize, Breakdown, SearchMode};
+pub use catalyst::{optimize, Breakdown, Optimizer, SearchMode};
 pub use rules::{catalyst_rules, OptRule};
-pub use schema::{plan_schema, PlanLabels};
+pub use schema::{build_plan_schema, plan_schema, PlanLabels};

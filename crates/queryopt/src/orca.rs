@@ -15,7 +15,8 @@
 //! - **Memo bookkeeping**: every produced subtree is hashed into a memo
 //!   (group deduplication), a per-rewrite overhead Catalyst doesn't pay.
 
-use crate::rules::{catalyst_rules, OptRule};
+use crate::catalyst::Optimizer;
+use crate::rules::OptRule;
 use std::collections::VecDeque;
 use tt_ast::{Ast, FxHashSet, NodeId};
 use tt_metrics::now_ns;
@@ -65,10 +66,17 @@ fn subtree_hash(ast: &Ast, root: NodeId) -> u64 {
     ast.structural_hash(root)
 }
 
-/// Runs the Orca-style optimizer to quiescence (or `max_tasks`).
+/// Runs the Orca-style optimizer to quiescence (or `max_tasks`), with
+/// the unfolded rules compiled once for the plan's schema
+/// ([`Optimizer::with`]).
 pub fn optimize_orca(ast: &mut Ast, max_tasks: u64) -> OrcaBreakdown {
     let schema = ast.schema().clone();
-    let rules: Vec<OptRule> = catalyst_rules(&schema, false);
+    Optimizer::with(&schema, |opt| opt.optimize_orca(ast, max_tasks))
+}
+
+/// The Orca-style driver over the unfolded `rules`
+/// ([`Optimizer::optimize_orca`]).
+pub(crate) fn run(ast: &mut Ast, rules: &[OptRule], max_tasks: u64) -> OrcaBreakdown {
     let mut bd = OrcaBreakdown {
         initial_size: ast.subtree_size(ast.root()),
         ..Default::default()

@@ -6,11 +6,21 @@
 //! extras (`deterministic`, `cond`, `joinType`, `windowEmpty`, …).
 //! Attribute sets are [`tt_ast::IntSet`]s of column ids.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tt_ast::{Ast, AttrName, IntSet, Label, NodeId, Schema, Value};
 
-/// Builds the logical-plan schema.
+/// The logical-plan schema: one process-wide value, built on first use.
+/// Every call returns a clone of the same `Arc`, so plans built from it
+/// are recognized by [`catalyst::optimize`](crate::catalyst::optimize)
+/// and served by the optimizer compiled once for this schema.
 pub fn plan_schema() -> Arc<Schema> {
+    static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
+    SCHEMA.get_or_init(build_plan_schema).clone()
+}
+
+/// Builds a fresh, unshared copy of the logical-plan schema (equal to
+/// [`plan_schema`] but a distinct `Arc`).
+pub fn build_plan_schema() -> Arc<Schema> {
     Schema::builder()
         // Leaf: a base relation scan.
         .label("Table", &["output", "references", "relid"], 0)

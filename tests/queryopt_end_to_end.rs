@@ -71,11 +71,13 @@ fn search_dominates_naive_but_not_tt() {
         "naive search share too low: {}",
         naive.search_fraction()
     );
+    // Compare match attempts, the work behind `search_ns`, so the bound
+    // does not ride on a nanosecond clock under a loaded test harness.
     assert!(
-        tt.search_ns < naive.search_ns / 10,
-        "TT search {} should be well under naive {}",
-        tt.search_ns,
-        naive.search_ns
+        tt.match_attempts < naive.match_attempts / 10,
+        "TT match attempts {} should be well under naive {}",
+        tt.match_attempts,
+        naive.match_attempts
     );
 }
 
