@@ -3,14 +3,18 @@
 //! Nodes are stored in slot vector indexed by [`NodeId`]; children are id
 //! arrays and every node carries a parent back-pointer (the paper's §5.1
 //! notes ancestors "may be derived ... by extending the AST definition with
-//! parent pointers" — we do exactly that). A rewrite is [`Ast::replace`]:
-//! one pointer swap in the parent's child slot, leaving the displaced
-//! subtree detached for the caller to free (or partially reuse) —
-//! mirroring how the JITD compiler applies `⟨pattern, generator⟩` rules.
+//! parent pointers" — we do exactly that). Up to two attributes and two
+//! children live inline in the node's 64-byte slot, so visiting a binary
+//! or unary node touches its slot only; wider nodes spill to the heap.
+//! A rewrite is [`Ast::replace`]: one pointer swap in the parent's child
+//! slot, leaving the displaced subtree detached for the caller to free
+//! (or partially reuse) — mirroring how the JITD compiler applies
+//! `⟨pattern, generator⟩` rules.
 
 use crate::schema::{AttrName, Label, Schema};
 use crate::value::Value;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// Compact node handle: an index into the arena's slot vector.
@@ -50,16 +54,198 @@ impl fmt::Debug for NodeId {
     }
 }
 
+/// A list stored inline while it holds at most two items and spilled to
+/// the heap above that. Every conversion into a `SmallList` and every
+/// `remove` keeps the representation in step with the length (the heap
+/// only for three or more), so a list is never both short and boxed.
+///
+/// [`Ast::alloc`] takes a node's attributes and children as
+/// `SmallList`s: collecting into one, or passing an array, builds a
+/// short list without touching the heap.
+#[derive(Clone)]
+pub struct SmallList<T>(Repr<T>);
+
+impl<T> Default for SmallList<T> {
+    fn default() -> Self {
+        SmallList(Repr::Empty)
+    }
+}
+
+#[derive(Clone, Default)]
+enum Repr<T> {
+    #[default]
+    Empty,
+    One(T),
+    Two([T; 2]),
+    /// Three or more items.
+    Heap(Vec<T>),
+}
+
+impl<T> SmallList<T> {
+    /// Removes and returns the item at `index`, shifting later items
+    /// left, and moves a list that falls to two items back inline.
+    pub fn remove(&mut self, index: usize) -> T {
+        let (out, rest) = match std::mem::take(&mut self.0) {
+            Repr::Empty => panic!("remove index {index} out of bounds (len 0)"),
+            Repr::One(a) => {
+                assert_eq!(index, 0, "remove index {index} out of bounds (len 1)");
+                (a, Repr::Empty)
+            }
+            Repr::Two([a, b]) => match index {
+                0 => (a, Repr::One(b)),
+                1 => (b, Repr::One(a)),
+                _ => panic!("remove index {index} out of bounds (len 2)"),
+            },
+            Repr::Heap(mut items) => {
+                let out = items.remove(index);
+                (out, SmallList::from(items).0)
+            }
+        };
+        self.0 = rest;
+        out
+    }
+
+    /// The items as a vector (the spilled one as it is).
+    pub fn into_vec(self) -> Vec<T> {
+        match self.0 {
+            Repr::Empty => Vec::new(),
+            Repr::One(a) => vec![a],
+            Repr::Two([a, b]) => vec![a, b],
+            Repr::Heap(items) => items,
+        }
+    }
+
+    /// Heap bytes held beyond the inline slot (0 unless spilled).
+    pub fn heap_bytes(&self) -> usize {
+        match &self.0 {
+            Repr::Heap(items) => items.capacity() * std::mem::size_of::<T>(),
+            _ => 0,
+        }
+    }
+}
+
+impl<T> Deref for SmallList<T> {
+    type Target = [T];
+
+    #[inline]
+    fn deref(&self) -> &[T] {
+        match &self.0 {
+            Repr::Empty => &[],
+            Repr::One(a) => std::slice::from_ref(a),
+            Repr::Two(items) => items,
+            Repr::Heap(items) => items,
+        }
+    }
+}
+
+impl<T> DerefMut for SmallList<T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [T] {
+        match &mut self.0 {
+            Repr::Empty => &mut [],
+            Repr::One(a) => std::slice::from_mut(a),
+            Repr::Two(items) => items,
+            Repr::Heap(items) => items,
+        }
+    }
+}
+
+impl<T> From<Vec<T>> for SmallList<T> {
+    /// Moves up to two items inline (freeing the vector); a longer
+    /// vector becomes the spilled list as it is.
+    fn from(mut items: Vec<T>) -> Self {
+        SmallList(match items.len() {
+            0 => Repr::Empty,
+            1 => Repr::One(items.pop().expect("one item")),
+            2 => {
+                let b = items.pop().expect("two items");
+                let a = items.pop().expect("two items");
+                Repr::Two([a, b])
+            }
+            _ => Repr::Heap(items),
+        })
+    }
+}
+
+impl<T, const N: usize> From<[T; N]> for SmallList<T> {
+    fn from(items: [T; N]) -> Self {
+        if N > 2 {
+            SmallList(Repr::Heap(Vec::from(items)))
+        } else {
+            items.into_iter().collect()
+        }
+    }
+}
+
+impl<T> FromIterator<T> for SmallList<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Self {
+        let mut items = items.into_iter();
+        let Some(a) = items.next() else {
+            return SmallList(Repr::Empty);
+        };
+        let Some(b) = items.next() else {
+            return SmallList(Repr::One(a));
+        };
+        let Some(c) = items.next() else {
+            return SmallList(Repr::Two([a, b]));
+        };
+        let mut spilled = Vec::with_capacity(3 + items.size_hint().0);
+        spilled.extend([a, b, c]);
+        spilled.extend(items);
+        SmallList(Repr::Heap(spilled))
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for SmallList<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// A node's attribute and child lists. While both hold at most two items
+/// they live in the slot itself; a node with a longer list keeps its
+/// attributes in a `Vec` and its children in a [`SmallList`]. Either way
+/// the variant follows the lengths, so a short node is never `Wide`.
+#[derive(Debug, Clone)]
+enum Lists {
+    /// At most two attributes (never spilled) and two children;
+    /// the first `Node::arity` ids are the children, the rest `NULL`.
+    Inline(SmallList<Value>, [NodeId; 2]),
+    /// Three or more attributes or three or more children.
+    Wide(Vec<Value>, SmallList<NodeId>),
+}
+
 /// One AST node: `(label, attributes, children)` plus the parent pointer.
+///
+/// A node is one 64-byte arena slot — a cache line's worth — and, with
+/// at most two attributes and two children (every JITD node), nothing
+/// else: a visit reads the slot only.
 #[derive(Debug, Clone)]
 pub struct Node {
-    label: Label,
-    attrs: Vec<Value>,
-    children: Vec<NodeId>,
+    lists: Lists,
     parent: NodeId,
+    label: Label,
+    /// The child count while `lists` is inline.
+    arity: u8,
 }
 
 impl Node {
+    fn new(label: Label, attrs: SmallList<Value>, children: SmallList<NodeId>) -> Node {
+        let (lists, arity) = if attrs.len() > 2 || children.len() > 2 {
+            (Lists::Wide(attrs.into_vec(), children), 0)
+        } else {
+            let mut ids = [NodeId::NULL; 2];
+            ids[..children.len()].copy_from_slice(&children);
+            (Lists::Inline(attrs, ids), children.len() as u8)
+        };
+        Node {
+            lists,
+            parent: NodeId::NULL,
+            label,
+            arity,
+        }
+    }
+
     /// The node's label.
     #[inline]
     pub fn label(&self) -> Label {
@@ -69,13 +255,19 @@ impl Node {
     /// Attribute values in schema storage order.
     #[inline]
     pub fn attrs(&self) -> &[Value] {
-        &self.attrs
+        match &self.lists {
+            Lists::Inline(attrs, _) => attrs,
+            Lists::Wide(attrs, _) => attrs,
+        }
     }
 
     /// Child ids in order.
     #[inline]
     pub fn children(&self) -> &[NodeId] {
-        &self.children
+        match &self.lists {
+            Lists::Inline(_, ids) => &ids[..self.arity as usize],
+            Lists::Wide(_, ids) => ids,
+        }
     }
 
     /// Parent id ([`NodeId::NULL`] for the root or detached nodes).
@@ -87,7 +279,55 @@ impl Node {
     /// True if the node has no children (`isleaf` in the paper).
     #[inline]
     pub fn is_leaf(&self) -> bool {
-        self.children.is_empty()
+        self.children().is_empty()
+    }
+
+    fn attrs_mut(&mut self) -> &mut [Value] {
+        match &mut self.lists {
+            Lists::Inline(attrs, _) => attrs,
+            Lists::Wide(attrs, _) => attrs,
+        }
+    }
+
+    fn children_mut(&mut self) -> &mut [NodeId] {
+        match &mut self.lists {
+            Lists::Inline(_, ids) => &mut ids[..self.arity as usize],
+            Lists::Wide(_, ids) => ids,
+        }
+    }
+
+    /// Removes the child at `pos`, moving a wide node whose lists both
+    /// fall to two items back inline.
+    fn remove_child(&mut self, pos: usize) {
+        match &mut self.lists {
+            Lists::Inline(_, ids) => {
+                let arity = self.arity as usize;
+                ids.copy_within(pos + 1..arity, pos);
+                ids[arity - 1] = NodeId::NULL;
+                self.arity -= 1;
+            }
+            Lists::Wide(attrs, ids) => {
+                ids.remove(pos);
+                if attrs.len() <= 2 && ids.len() <= 2 {
+                    let attrs = SmallList::from(std::mem::take(attrs));
+                    let ids = std::mem::take(ids);
+                    *self = Node {
+                        parent: self.parent,
+                        ..Node::new(self.label, attrs, ids)
+                    };
+                }
+            }
+        }
+    }
+
+    /// Heap bytes of spilled lists (0 for an inline node).
+    fn heap_bytes(&self) -> usize {
+        match &self.lists {
+            Lists::Inline(..) => 0,
+            Lists::Wide(attrs, ids) => {
+                attrs.capacity() * std::mem::size_of::<Value>() + ids.heap_bytes()
+            }
+        }
     }
 }
 
@@ -132,7 +372,17 @@ impl Ast {
 
     /// Allocates a node. Children must be live and detached; they become
     /// children of the new node. Panics on schema violations.
-    pub fn alloc(&mut self, label: Label, attrs: Vec<Value>, children: Vec<NodeId>) -> NodeId {
+    ///
+    /// Both lists take anything that converts into a [`SmallList`]: a
+    /// `Vec` (moved inline when short), an array, or a collected list —
+    /// the last two build a binary node without a heap allocation.
+    pub fn alloc(
+        &mut self,
+        label: Label,
+        attrs: impl Into<SmallList<Value>>,
+        children: impl Into<SmallList<NodeId>>,
+    ) -> NodeId {
+        let (attrs, children) = (attrs.into(), children.into());
         let def = self.schema.def(label);
         assert_eq!(
             attrs.len(),
@@ -157,17 +407,12 @@ impl Ast {
                 NodeId(idx)
             }
         };
-        for &c in &children {
+        for &c in children.iter() {
             let child = self.node_mut(c);
             assert!(child.parent.is_null(), "child {c:?} already attached");
             child.parent = id;
         }
-        self.slots[id.0 as usize] = Some(Node {
-            label,
-            attrs,
-            children,
-            parent: NodeId::NULL,
-        });
+        self.slots[id.0 as usize] = Some(Node::new(label, attrs, children));
         self.live += 1;
         id
     }
@@ -208,7 +453,7 @@ impl Ast {
     /// The node's children.
     #[inline]
     pub fn children(&self, id: NodeId) -> &[NodeId] {
-        &self.node(id).children
+        self.node(id).children()
     }
 
     /// The node's parent ([`NodeId::NULL`] for root / detached).
@@ -228,7 +473,7 @@ impl Ast {
                 self.schema.attr_name(attr)
             )
         });
-        &node.attrs[idx]
+        &node.attrs()[idx]
     }
 
     /// Overwrites an attribute value in place (an *update* event for IVM).
@@ -238,7 +483,7 @@ impl Ast {
             .schema
             .attr_index(label, attr)
             .unwrap_or_else(|| panic!("label has no such attribute"));
-        self.node_mut(id).attrs[idx] = value;
+        self.node_mut(id).attrs_mut()[idx] = value;
     }
 
     /// Detaches `id` from its parent (removing it from the parent's child
@@ -252,12 +497,12 @@ impl Ast {
             }
             return;
         }
-        let siblings = &mut self.node_mut(parent).children;
-        let pos = siblings
+        let pos = self
+            .children(parent)
             .iter()
             .position(|&c| c == id)
             .expect("child missing from parent");
-        siblings.remove(pos);
+        self.node_mut(parent).remove_child(pos);
         self.node_mut(id).parent = NodeId::NULL;
     }
 
@@ -276,12 +521,11 @@ impl Ast {
             self.root = new;
         } else {
             let slot = self
-                .node(parent)
-                .children
+                .children(parent)
                 .iter()
                 .position(|&c| c == old)
                 .expect("old missing from its parent");
-            self.node_mut(parent).children[slot] = new;
+            self.node_mut(parent).children_mut()[slot] = new;
             self.node_mut(new).parent = parent;
             self.node_mut(old).parent = NodeId::NULL;
         }
@@ -311,7 +555,7 @@ impl Ast {
         while let Some(n) = stack.pop() {
             out.push(n);
             // Push children reversed so preorder pops left-to-right.
-            for &c in self.node(n).children.iter().rev() {
+            for &c in self.children(n).iter().rev() {
                 stack.push(c);
             }
         }
@@ -354,18 +598,28 @@ impl Ast {
     }
 
     /// Structural equality of two subtrees (labels, attributes, shapes).
+    /// Walks pairs with an explicit stack, so any depth is safe.
     pub fn deep_eq(&self, a: NodeId, b: NodeId) -> bool {
-        if a == b {
-            return true;
+        let mut pending = vec![(a, b)];
+        while let Some((a, b)) = pending.pop() {
+            if a == b {
+                continue;
+            }
+            let (na, nb) = (self.node(a), self.node(b));
+            if na.label != nb.label
+                || na.attrs() != nb.attrs()
+                || na.children().len() != nb.children().len()
+            {
+                return false;
+            }
+            pending.extend(
+                na.children()
+                    .iter()
+                    .copied()
+                    .zip(nb.children().iter().copied()),
+            );
         }
-        let (na, nb) = (self.node(a), self.node(b));
-        if na.label != nb.label || na.attrs != nb.attrs || na.children.len() != nb.children.len() {
-            return false;
-        }
-        na.children
-            .iter()
-            .zip(&nb.children)
-            .all(|(&ca, &cb)| self.deep_eq(ca, cb))
+        true
     }
 
     /// A structural hash of the subtree at `id` (labels, attributes,
@@ -378,32 +632,42 @@ impl Ast {
         for n in self.descendants(id) {
             let node = self.node(n);
             node.label.hash(&mut h);
-            for v in &node.attrs {
+            for v in node.attrs() {
                 v.hash(&mut h);
             }
-            node.children.len().hash(&mut h);
+            node.children().len().hash(&mut h);
         }
         h.finish()
     }
 
     /// Allocates a detached deep copy of the subtree at `src`.
+    ///
+    /// Copies in reverse preorder, so every child is copied before its
+    /// parent; the copies wait on a stack, where a node's first child
+    /// ends up on top. No recursion, so any depth is safe.
     pub fn clone_subtree(&mut self, src: NodeId) -> NodeId {
-        let node = self.node(src);
-        let (label, attrs, children) = (node.label, node.attrs.clone(), node.children.clone());
-        let copies: Vec<NodeId> = children.iter().map(|&c| self.clone_subtree(c)).collect();
-        self.alloc(label, attrs, copies)
+        let mut copies: Vec<NodeId> = Vec::new();
+        for n in self.collect_subtree(src).into_iter().rev() {
+            let node = self.node(n);
+            let (label, arity) = (node.label, node.children().len());
+            let attrs: SmallList<Value> = node.attrs().iter().cloned().collect();
+            let children: SmallList<NodeId> = (0..arity)
+                .map(|_| copies.pop().expect("children are copied first"))
+                .collect();
+            copies.push(self.alloc(label, attrs, children));
+        }
+        copies.pop().expect("the subtree root is copied last")
     }
 
-    /// Approximate heap bytes held by the arena (slots, child vectors,
-    /// attribute payloads). This is the *compiler's own* AST cost — the
+    /// Approximate heap bytes held by the arena (slots, spilled child and
+    /// attribute lists, attribute payloads). This is the *compiler's own* AST cost — the
     /// baseline every strategy's overhead in Figures 11/13 sits on top of.
     pub fn memory_bytes(&self) -> usize {
         let mut bytes = self.slots.capacity() * std::mem::size_of::<Option<Node>>()
             + self.free.capacity() * std::mem::size_of::<u32>();
         for slot in self.slots.iter().flatten() {
-            bytes += slot.children.capacity() * std::mem::size_of::<NodeId>();
-            bytes += slot.attrs.capacity() * std::mem::size_of::<Value>();
-            for v in &slot.attrs {
+            bytes += slot.heap_bytes();
+            for v in slot.attrs() {
                 bytes += v.heap_bytes();
             }
         }
@@ -431,7 +695,7 @@ impl Ast {
             let Some(node) = slot else { continue };
             live_seen += 1;
             let id = NodeId(idx as u32);
-            for &c in &node.children {
+            for &c in node.children() {
                 if !self.is_live(c) {
                     return Err(format!("{id:?} has dead child {c:?}"));
                 }
@@ -442,14 +706,14 @@ impl Ast {
                     return Err(format!("child {c:?} of {id:?} has wrong parent"));
                 }
             }
-            for &c in &node.children {
+            for &c in node.children() {
                 seen.remove(c);
             }
             if !node.parent.is_null() {
                 if !self.is_live(node.parent) {
                     return Err(format!("{id:?} has dead parent"));
                 }
-                if !self.node(node.parent).children.contains(&id) {
+                if !self.node(node.parent).children().contains(&id) {
                     return Err(format!("{id:?} missing from its parent's children"));
                 }
             }
@@ -703,6 +967,191 @@ mod tests {
     fn replace_rejects_attached_replacement() {
         let (mut ast, _, mul, two, _, _) = fig3();
         ast.replace(mul, two);
+    }
+
+    /// A schema with one label of each list shape the arena stores: a
+    /// node with 3 attributes and up to 4 children, one with 1 attribute
+    /// and up to 4 children, and a leaf.
+    fn wide_schema() -> Arc<Schema> {
+        Schema::builder()
+            .label("Wide", &["a", "b", "c"], 4)
+            .label("Fan", &["f"], 4)
+            .label("Leaf", &["v"], 0)
+            .finish()
+    }
+
+    #[test]
+    fn small_list_spills_above_two() {
+        let inline: SmallList<u32> = [7, 8].into();
+        assert!(matches!(inline.0, Repr::Two(_)));
+        assert_eq!(inline.heap_bytes(), 0);
+        let spilled: SmallList<u32> = (1..=3).collect();
+        assert!(matches!(spilled.0, Repr::Heap(_)));
+        assert_eq!(&spilled[..], &[1, 2, 3]);
+        assert!(spilled.heap_bytes() >= 3 * std::mem::size_of::<u32>());
+        // Every length converts the same way from a vector, an array
+        // and an iterator, and lands in the variant its length names.
+        for len in 0..6u32 {
+            let from_vec = SmallList::from((0..len).collect::<Vec<_>>());
+            let from_iter: SmallList<u32> = (0..len).collect();
+            assert_eq!(&from_vec[..], &from_iter[..]);
+            assert_eq!(from_vec.len(), len as usize);
+            assert_eq!(matches!(from_vec.0, Repr::Heap(_)), len > 2);
+        }
+        assert_eq!(SmallList::from([1u32, 2, 3, 4]).len(), 4);
+        assert!(SmallList::<u32>::from([]).is_empty());
+    }
+
+    #[test]
+    fn small_list_remove_moves_back_inline() {
+        let mut list: SmallList<u32> = (10..14).collect();
+        assert_eq!(list.remove(1), 11);
+        assert_eq!(&list[..], &[10, 12, 13]);
+        assert!(matches!(list.0, Repr::Heap(_)));
+        assert_eq!(list.remove(2), 13);
+        assert!(matches!(list.0, Repr::Two([10, 12])));
+        assert_eq!(list.heap_bytes(), 0);
+        assert_eq!(list.remove(0), 10);
+        assert!(matches!(list.0, Repr::One(12)));
+        assert_eq!(list.remove(0), 12);
+        assert!(matches!(list.0, Repr::Empty));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn small_list_remove_checks_bounds() {
+        let mut list: SmallList<u32> = [1, 2].into();
+        list.remove(2);
+    }
+
+    #[test]
+    fn detach_and_replace_on_inline_and_spilled_children() {
+        let schema = wide_schema();
+        let (wide, leaf) = (schema.expect_label("Wide"), schema.expect_label("Leaf"));
+        let mut ast = Ast::new(schema.clone());
+        let attrs = || vec![Value::Int(1), Value::Int(2), Value::Int(3)];
+        let leaves: Vec<NodeId> = (0..4)
+            .map(|i| ast.alloc(leaf, [Value::Int(i)], []))
+            .collect();
+        let root = ast.alloc(wide, attrs(), leaves.clone());
+        ast.set_root(root);
+        assert_eq!(ast.children(root), &leaves[..]);
+        assert_eq!(ast.node(root).attrs().len(), 3);
+        ast.validate().unwrap();
+
+        // Replace inside the spilled list: a pointer swap in place.
+        let fresh = ast.alloc(leaf, [Value::Int(9)], []);
+        ast.replace(leaves[2], fresh);
+        assert_eq!(
+            ast.children(root),
+            &[leaves[0], leaves[1], fresh, leaves[3]]
+        );
+        ast.free_subtree(leaves[2]);
+        ast.validate().unwrap();
+
+        // Detaching falls from four children to two: the child list
+        // moves back inline, the node stays wide (three attributes).
+        ast.detach(leaves[0]);
+        ast.detach(fresh);
+        assert_eq!(ast.children(root), &[leaves[1], leaves[3]]);
+        assert!(matches!(
+            &ast.node(root).lists,
+            Lists::Wide(_, SmallList(Repr::Two(_)))
+        ));
+        ast.validate().unwrap();
+
+        // Replace and detach on the inline list.
+        let other = ast.alloc(leaf, [Value::Int(8)], []);
+        ast.replace(leaves[3], other);
+        assert_eq!(ast.children(root), &[leaves[1], other]);
+        ast.detach(leaves[1]);
+        assert_eq!(ast.children(root), &[other]);
+        ast.validate().unwrap();
+        for n in [leaves[0], fresh, leaves[1], leaves[3]] {
+            ast.free_subtree(n);
+        }
+        assert_eq!(ast.live_count(), 2);
+        ast.validate().unwrap();
+
+        // A wide node round-trips through clone and structural equality.
+        let copy = ast.clone_subtree(root);
+        assert!(ast.deep_eq(root, copy));
+        assert_eq!(ast.node(copy).attrs(), &attrs()[..]);
+    }
+
+    #[test]
+    fn validate_catches_a_child_listed_twice_in_a_spilled_list() {
+        let schema = wide_schema();
+        let (wide, leaf) = (schema.expect_label("Wide"), schema.expect_label("Leaf"));
+        let mut ast = Ast::new(schema.clone());
+        let leaves: Vec<NodeId> = (0..3)
+            .map(|i| ast.alloc(leaf, [Value::Int(i)], []))
+            .collect();
+        let root = ast.alloc(
+            wide,
+            vec![Value::Int(1), Value::Int(2), Value::Int(3)],
+            leaves.clone(),
+        );
+        ast.set_root(root);
+        ast.validate().unwrap();
+        // Point the third slot at the first child again, and detach the
+        // displaced child so the duplicate is the only fault.
+        ast.node_mut(root).children_mut()[2] = leaves[0];
+        ast.node_mut(leaves[2]).parent = NodeId::NULL;
+        assert!(ast.validate().unwrap_err().contains("twice"));
+    }
+
+    #[test]
+    fn memory_bytes_counts_slots_and_spilled_lists_only() {
+        let schema = wide_schema();
+        let (wide, leaf) = (schema.expect_label("Wide"), schema.expect_label("Leaf"));
+        let mut ast = Ast::new(schema.clone());
+        let a = ast.alloc(leaf, [Value::Int(0)], []);
+        let b = ast.alloc(leaf, [Value::Int(1)], []);
+        let slots = ast.slots.capacity() * std::mem::size_of::<Option<Node>>();
+        assert_eq!(ast.memory_bytes(), slots, "inline lists hold no heap");
+        let c = ast.alloc(leaf, [Value::Int(2)], []);
+        let root = ast.alloc(
+            wide,
+            vec![Value::Int(1), Value::Int(2), Value::Int(3)],
+            vec![a, b, c],
+        );
+        ast.set_root(root);
+        let slots = ast.slots.capacity() * std::mem::size_of::<Option<Node>>();
+        let spilled = 3 * std::mem::size_of::<Value>() + 3 * std::mem::size_of::<NodeId>();
+        assert_eq!(ast.memory_bytes(), slots + spilled);
+    }
+
+    #[test]
+    fn a_node_is_a_cache_line_wide() {
+        // Two inline values are 48 bytes and two inline ids 8; the
+        // variant tags hide in the values' niches, and the parent, label
+        // and arity fill the rest.
+        assert_eq!(std::mem::size_of::<Option<Node>>(), 64);
+    }
+
+    #[test]
+    fn a_wide_node_moves_inline_when_its_lists_shrink() {
+        let schema = wide_schema();
+        let (fan, leaf) = (schema.expect_label("Fan"), schema.expect_label("Leaf"));
+        let mut ast = Ast::new(schema.clone());
+        let leaves: Vec<NodeId> = (0..3)
+            .map(|i| ast.alloc(leaf, [Value::Int(i)], []))
+            .collect();
+        let root = ast.alloc(fan, [Value::Int(7)], leaves.clone());
+        ast.set_root(root);
+        assert!(matches!(ast.node(root).lists, Lists::Wide(..)));
+        assert!(ast.memory_bytes() > ast.slots.capacity() * std::mem::size_of::<Option<Node>>());
+        ast.detach(leaves[1]);
+        assert!(matches!(ast.node(root).lists, Lists::Inline(..)));
+        assert_eq!(ast.children(root), &[leaves[0], leaves[2]]);
+        assert_eq!(ast.node(root).attrs(), &[Value::Int(7)]);
+        assert_eq!(ast.parent(root), NodeId::NULL);
+        ast.detach(leaves[0]);
+        assert_eq!(ast.children(root), &[leaves[2]]);
+        ast.free_subtree(leaves[0]);
+        ast.free_subtree(leaves[1]);
+        ast.validate().unwrap();
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod schema;
 pub mod sexpr;
 pub mod value;
 
-pub use arena::{Ast, Node, NodeId, NodeRow};
+pub use arena::{Ast, Node, NodeId, NodeRow, SmallList};
 pub use dense::{NodeBitSet, NodeLabelMap, NodeMap};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use multiset::GenMultiset;

@@ -701,7 +701,7 @@ mod tests {
         let zero = ast.alloc(s.expect_label("Const"), vec![Value::Int(0)], vec![]);
         engine.before_replace(&ast, x, None);
         ast.replace(x, zero);
-        let removed = vec![(s.expect_label("Var"), tt_ast::NodeRow::of(&ast, x))];
+        let removed = vec![(s.expect_label("Var"), x)];
         ast.free_subtree(x);
         let ctx = ReplaceCtx {
             old_root: x,

@@ -15,7 +15,7 @@
 
 use std::fmt;
 use std::sync::Arc;
-use tt_ast::{Ast, AttrName, Label, NodeId, Schema, Value};
+use tt_ast::{Ast, AttrName, Label, NodeId, Schema, SmallList, Value};
 use tt_pattern::{Bindings, Pattern, VarId};
 
 /// Dense preorder index of a `Gen` node within its generator.
@@ -135,8 +135,10 @@ impl GenNode {
                 children,
             } => {
                 // Attributes first (they read the pre-state AST), then
-                // children (which may detach reused subtrees).
-                let values: Vec<Value> = {
+                // children (which may detach reused subtrees). Both
+                // collect inline, so a node of arity ≤ 2 allocates
+                // nothing beyond its arena slot.
+                let values: SmallList<Value> = {
                     let ctx = GenCtx {
                         ast,
                         bindings,
@@ -144,7 +146,7 @@ impl GenNode {
                     };
                     attrs.iter().map(|a| a.eval(&ctx)).collect()
                 };
-                let child_ids: Vec<NodeId> = children
+                let child_ids: SmallList<NodeId> = children
                     .iter()
                     .map(|c| c.eval(ast, bindings, tick, gen_nodes))
                     .collect();

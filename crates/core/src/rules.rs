@@ -10,7 +10,7 @@
 use crate::generator::{compile_generator, GenNode, GenSpec};
 use crate::inline::InlineMatrix;
 use std::sync::Arc;
-use tt_ast::{Ast, FxHashMap, Label, NodeId, NodeRow, Schema};
+use tt_ast::{Ast, FxHashMap, Label, NodeId, Schema};
 use tt_pattern::{Bindings, MatchAutomaton, Pattern, PatternNode, VarId};
 
 /// A declarative rewrite rule.
@@ -119,26 +119,20 @@ impl RewriteRule {
         tick: u64,
     ) -> AppliedRewrite {
         let parent = ast.parent(root);
-        let parent_snapshot =
-            (!parent.is_null()).then(|| (ast.label(parent), NodeRow::of(ast, parent)));
 
-        // Snapshot the nodes this application will free — `Desc(root)`
-        // pruned at reused subtrees — *before* the generator runs: reuse
-        // detaches subtrees, which would otherwise corrupt the removed
-        // parents' images (their child lists shrink), and bolt-on engines
-        // must see `remove()` events matching the rows they inserted.
-        // A rule reuses at most a handful of positions, so a linear scan
-        // of the cached variable list beats materializing a set.
+        // List the nodes this application will free — `Desc(root)` pruned
+        // at reused subtrees — *before* the generator runs: reuse detaches
+        // subtrees, so afterwards the pruned walk could not be repeated.
+        // Only ids and labels are kept; engines that need relational row
+        // images capture them in `before_replace`, while the tree is
+        // intact. A rule reuses at most a handful of positions, so a
+        // linear scan of the cached variable list beats building a set.
         let is_reused = |c: NodeId| self.reused_vars.iter().any(|&v| bindings.get(v) == c);
-        let mut removed: Vec<(Label, NodeRow)> = Vec::new();
+        let mut removed: Vec<(Label, NodeId)> = Vec::new();
         let mut stack = vec![root];
         while let Some(n) = stack.pop() {
-            removed.push((ast.label(n), NodeRow::of(ast, n)));
-            for &c in ast.children(n) {
-                if !is_reused(c) {
-                    stack.push(c);
-                }
-            }
+            removed.push((ast.label(n), n));
+            stack.extend(ast.children(n).iter().copied().filter(|&c| !is_reused(c)));
         }
 
         // ⟦g⟧Γ,µ — builds the new subtree, detaching reused nodes.
@@ -158,28 +152,30 @@ impl RewriteRule {
                 a
             },
             {
-                let mut b: Vec<NodeId> = removed.iter().map(|(_, r)| r.id).collect();
+                let mut b: Vec<NodeId> = removed.iter().map(|&(_, id)| id).collect();
                 b.sort_unstable();
                 b
             },
             "pre-computed removal set must equal the freed set"
         );
 
-        let parent_update =
-            parent_snapshot.map(|(label, old_row)| (label, old_row, NodeRow::of(ast, parent)));
-
         AppliedRewrite {
             old_root: root,
             new_root,
             gen_nodes,
             removed,
-            parent_update,
+            parent_update: (!parent.is_null()).then(|| (ast.label(parent), parent)),
         }
     }
 }
 
 /// The record of one rule application — the mutable update delta of §6
 /// ("the size of this delta is linear in the size of g and m").
+///
+/// It names nodes by id and never copies their attributes or child
+/// lists: TreeToaster's inlined maintenance reads `gen_nodes`, and the
+/// label index reads `(label, id)`. Bolt-on engines that keep relational
+/// row images take their own pre-image in `before_replace`.
 #[derive(Debug, Clone)]
 pub struct AppliedRewrite {
     /// The replaced node's (now dead) id.
@@ -188,13 +184,12 @@ pub struct AppliedRewrite {
     pub new_root: NodeId,
     /// Newly created nodes, dense by the generator's `Gen` preorder index.
     pub gen_nodes: Vec<NodeId>,
-    /// Snapshots of the freed nodes (label + relational image) — the
-    /// `remove()` events the instrumented compiler reports.
-    pub removed: Vec<(Label, NodeRow)>,
-    /// If the replacement site had a parent, its (label, old image, new
-    /// image): the child-pointer update bolt-on engines must see as a
-    /// delete + insert.
-    pub parent_update: Option<(Label, NodeRow, NodeRow)>,
+    /// The freed nodes (label + id), in the preorder of the pruned walk —
+    /// the `remove()` events the instrumented compiler reports.
+    pub removed: Vec<(Label, NodeId)>,
+    /// If the replacement site had a parent, its label and id: its child
+    /// pointer changed, which bolt-on engines see as a delete + insert.
+    pub parent_update: Option<(Label, NodeId)>,
 }
 
 impl AppliedRewrite {
@@ -441,9 +436,9 @@ mod tests {
         // Freed: the Arith(+) and the Const(0); the Var was reused.
         assert_eq!(applied.removed.len(), 2);
         // Parent's child pointer changed: update reported.
-        let (_, old_row, new_row) = applied.parent_update.as_ref().unwrap();
-        assert_eq!(old_row.children[0], applied.old_root);
-        assert_eq!(new_row.children[0], applied.new_root);
+        let (_, parent) = applied.parent_update.unwrap();
+        assert_eq!(parent, ast.root());
+        assert_eq!(ast.children(parent)[0], applied.new_root);
         ast.validate().unwrap();
         assert_eq!(ast.live_count(), 3);
     }

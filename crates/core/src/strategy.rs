@@ -15,7 +15,7 @@
 
 use crate::rules::{AppliedRewrite, RuleSet};
 use std::sync::Arc;
-use tt_ast::{Ast, Label, NodeId, NodeLabelMap, NodeRow};
+use tt_ast::{Ast, Label, NodeId, NodeLabelMap};
 use tt_labelindex::LabelIndex;
 use tt_pattern::{AutomatonScratch, Bindings, PatternNode};
 
@@ -28,13 +28,15 @@ pub struct ReplaceCtx<'a> {
     pub old_root: NodeId,
     /// The replacement subtree root `R′` (live, attached).
     pub new_root: NodeId,
-    /// Snapshots of freed nodes — the compiler's `remove()` events.
-    pub removed: &'a [(Label, NodeRow)],
+    /// Labels and ids of freed nodes — the compiler's `remove()` events.
+    /// The nodes are gone; an engine that needs their rows captures
+    /// them in [`MatchCore::before_replace`].
+    pub removed: &'a [(Label, NodeId)],
     /// Newly allocated nodes — the compiler's `insert()` events.
     pub inserted: &'a [NodeId],
-    /// The parent's child-pointer update (label, old image, new image),
-    /// if the site was not the root.
-    pub parent_update: Option<&'a (Label, NodeRow, NodeRow)>,
+    /// The parent whose child pointer changed (label, id), if the site
+    /// was not the root. Its new row is readable from the AST.
+    pub parent_update: Option<&'a (Label, NodeId)>,
     /// Present when the mutation came from a declarative rule — enables
     /// the inlined maintenance path.
     pub rule: Option<RuleFired<'a>>,
@@ -77,6 +79,9 @@ pub trait MatchCore: Send {
     /// Notification *before* the pointer swap: the subtree at `old_root`
     /// is still attached and pattern-evaluable. `rule` carries the firing
     /// rule and its bindings when the mutation is a declarative rewrite.
+    /// An engine that needs the rows of the nodes the rewrite frees (the
+    /// bolt-ons' shadow database) reads them here: [`ReplaceCtx`] names
+    /// them by id only.
     fn before_replace(&mut self, ast: &Ast, old_root: NodeId, rule: Option<(RuleId, &Bindings)>);
 
     /// Notification *after* the swap and the freeing of the old subtree.
@@ -529,12 +534,12 @@ impl MatchCore for IndexStrategy {
 
     fn before_replace(&mut self, _: &Ast, _: NodeId, _: Option<(RuleId, &Bindings)>) {
         // All bookkeeping happens on the post-state notification, where
-        // the freed nodes' labels arrive as snapshots.
+        // the freed nodes' labels arrive with their ids.
     }
 
     fn after_replace(&mut self, ast: &Ast, ctx: &ReplaceCtx<'_>) {
-        for (label, row) in ctx.removed {
-            self.stage(*label, row.id, -1);
+        for &(label, id) in ctx.removed {
+            self.stage(label, id, -1);
         }
         for &n in ctx.inserted {
             self.stage(ast.label(n), n, 1);

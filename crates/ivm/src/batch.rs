@@ -17,7 +17,7 @@
 //! | remove, insert (new image)      | remove old, insert new        |
 //!
 //! Emission replays all surviving removals before all surviving
-//! insertions (the same shape `deltas_of_ctx` gives a single rewrite),
+//! insertions (the same shape `PreImage::deltas` gives a single rewrite),
 //! so the engine's telescoped remove-probe/insert-probe discipline is
 //! preserved verbatim.
 

@@ -278,6 +278,8 @@ pub struct ClassicIvm {
     /// epoch), and a second sealed epoch appends after the first, so a
     /// sequential replay is always equivalent to the synchronous path.
     sealed: Vec<NodeDelta>,
+    /// Rows of the replacement in flight, from `before_replace`.
+    pre: common::PreImage,
 }
 
 impl ClassicIvm {
@@ -294,6 +296,7 @@ impl ClassicIvm {
             queries,
             log: crate::batch::DeltaLog::new(),
             sealed: Vec::new(),
+            pre: common::PreImage::default(),
         }
     }
 
@@ -400,8 +403,10 @@ impl MatchCore for ClassicIvm {
         self.queries[rule].view.any_root()
     }
 
-    fn before_replace(&mut self, _: &Ast, _: NodeId, _: Option<(RuleId, &Bindings)>) {
-        // Node-granularity engines act purely on the post event stream.
+    fn before_replace(&mut self, ast: &Ast, old_root: NodeId, rule: Option<(RuleId, &Bindings)>) {
+        // Node-granularity engines act on the post event stream, but the
+        // rows it removes must be read while the tree is intact.
+        self.pre.capture(&self.rules, ast, old_root, rule);
     }
 
     fn after_replace(&mut self, ast: &Ast, ctx: &ReplaceCtx<'_>) {
@@ -411,7 +416,7 @@ impl MatchCore for ClassicIvm {
             // the event stream in submission order.
             self.apply_submitted();
         }
-        for delta in common::deltas_of_ctx(ast, ctx) {
+        for delta in self.pre.deltas(ast, ctx) {
             if let Some(delta) = self.log.absorb(delta) {
                 self.apply_delta(&delta);
             }

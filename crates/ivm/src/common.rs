@@ -1,29 +1,118 @@
 //! Shared plumbing for the bolt-on engines.
 
-use treetoaster_core::{MatchView, ReplaceCtx};
-use tt_ast::{Ast, NodeId, NodeRow};
-use tt_pattern::{AttrSource, Constraint, SqlQuery, VarId};
+use treetoaster_core::{MatchView, ReplaceCtx, RuleId, RuleSet};
+use tt_ast::{Ast, Label, NodeId, NodeRow};
+use tt_pattern::{AttrSource, Bindings, Constraint, SqlQuery, VarId};
 use tt_relational::{Database, NodeDelta, RowAttrs};
 
-/// Translates a structural replace notification into the flat
-/// node-granularity event stream a bolt-on engine understands: all
-/// removals first (including the parent's old image — a child-pointer
-/// update is a delete + insert at this granularity), then all insertions.
-pub fn deltas_of_ctx(ast: &Ast, ctx: &ReplaceCtx<'_>) -> Vec<NodeDelta> {
-    let mut out = Vec::with_capacity(ctx.removed.len() + ctx.inserted.len() + 2);
-    for (label, row) in ctx.removed {
-        out.push(NodeDelta::Remove(*label, row.clone()));
+/// The rows one replacement destroys, as a bolt-on engine must report
+/// them: taken in `before_replace`, while the tree is still intact,
+/// because a rewrite reports freed nodes by id only.
+///
+/// Both bolt-on engines keep one and translate every replacement through
+/// it, so their event streams are the same node-granularity stream.
+#[derive(Debug)]
+pub struct PreImage {
+    /// The replaced node (checked against the replacement reported).
+    site: NodeId,
+    /// Whether the walk was pruned at a fired rule's reused positions,
+    /// making `removed` exactly the freed set.
+    pruned: bool,
+    /// Rows of `Desc(site)`, in the order a rule application frees them.
+    removed: Vec<(Label, NodeRow)>,
+    /// The site's parent and its row before the swap.
+    parent: Option<(Label, NodeRow)>,
+}
+
+impl Default for PreImage {
+    fn default() -> Self {
+        PreImage {
+            site: NodeId::NULL,
+            pruned: false,
+            removed: Vec::new(),
+            parent: None,
+        }
     }
-    if let Some((label, old_row, _)) = ctx.parent_update {
-        out.push(NodeDelta::Remove(*label, old_row.clone()));
+}
+
+impl PreImage {
+    /// Captures the pre-image of replacing `site`. For a fired rule the
+    /// walk stops at the subtrees its generator reuses, which survive
+    /// the rewrite; for a manual mutation it takes all of `Desc(site)`,
+    /// and [`PreImage::deltas`] keeps the rows the caller reports freed.
+    pub fn capture(
+        &mut self,
+        rules: &RuleSet,
+        ast: &Ast,
+        site: NodeId,
+        rule: Option<(RuleId, &Bindings)>,
+    ) {
+        let reused = rule.map(|(rid, bindings)| (rules.get(rid).reused_vars(), bindings));
+        let is_reused = |c: NodeId| {
+            reused.is_some_and(|(vars, bindings)| vars.iter().any(|&v| bindings.get(v) == c))
+        };
+        self.site = site;
+        self.pruned = rule.is_some();
+        self.removed.clear();
+        let mut stack = vec![site];
+        while let Some(n) = stack.pop() {
+            self.removed.push((ast.label(n), NodeRow::of(ast, n)));
+            stack.extend(ast.children(n).iter().copied().filter(|&c| !is_reused(c)));
+        }
+        let parent = ast.parent(site);
+        self.parent = (!parent.is_null()).then(|| (ast.label(parent), NodeRow::of(ast, parent)));
     }
-    for &n in ctx.inserted {
-        out.push(NodeDelta::Insert(ast.label(n), NodeRow::of(ast, n)));
+
+    /// Translates the captured replacement into the flat node event
+    /// stream a bolt-on engine understands: all removals first
+    /// (including the parent's old row — a child-pointer update is a
+    /// delete + insert at this granularity), then all insertions, the
+    /// parent's new row read from the AST last.
+    pub fn deltas(&mut self, ast: &Ast, ctx: &ReplaceCtx<'_>) -> Vec<NodeDelta> {
+        assert_eq!(
+            self.site, ctx.old_root,
+            "no pre-image captured for this replacement (before_replace not called)"
+        );
+        self.site = NodeId::NULL;
+        let mut out = Vec::with_capacity(ctx.removed.len() + ctx.inserted.len() + 2);
+        if self.pruned {
+            debug_assert!(
+                self.removed.len() == ctx.removed.len()
+                    && self
+                        .removed
+                        .iter()
+                        .zip(ctx.removed)
+                        .all(|((_, row), &(_, id))| row.id == id),
+                "captured pre-image must list exactly the freed nodes"
+            );
+            out.extend(
+                self.removed
+                    .drain(..)
+                    .map(|(label, row)| NodeDelta::Remove(label, row)),
+            );
+        } else {
+            out.extend(
+                self.removed
+                    .drain(..)
+                    .filter(|(_, row)| ctx.removed.iter().any(|&(_, id)| id == row.id))
+                    .map(|(label, row)| NodeDelta::Remove(label, row)),
+            );
+        }
+        let parent = self.parent.take();
+        if let Some(&(label, id)) = ctx.parent_update {
+            let (_, old_row) = parent
+                .filter(|(_, row)| row.id == id)
+                .expect("the updated parent is the captured site's parent");
+            out.push(NodeDelta::Remove(label, old_row));
+        }
+        for &n in ctx.inserted {
+            out.push(NodeDelta::Insert(ast.label(n), NodeRow::of(ast, n)));
+        }
+        if let Some(&(label, id)) = ctx.parent_update {
+            out.push(NodeDelta::Insert(label, NodeRow::of(ast, id)));
+        }
+        out
     }
-    if let Some((label, _, new_row)) = ctx.parent_update {
-        out.push(NodeDelta::Insert(*label, new_row.clone()));
-    }
-    out
 }
 
 /// Test oracle: the shadow database must mirror the live AST node for

@@ -466,6 +466,8 @@ pub struct DbtIvm {
     /// its background committer (see [`crate::classic::ClassicIvm`] for
     /// the replay-order contract).
     sealed: Vec<NodeDelta>,
+    /// Rows of the replacement in flight, from `before_replace`.
+    pre: common::PreImage,
 }
 
 impl DbtIvm {
@@ -482,6 +484,7 @@ impl DbtIvm {
             queries,
             log: crate::batch::DeltaLog::new(),
             sealed: Vec::new(),
+            pre: common::PreImage::default(),
         }
     }
 
@@ -588,7 +591,11 @@ impl MatchCore for DbtIvm {
         self.queries[rule].view.any_root()
     }
 
-    fn before_replace(&mut self, _: &Ast, _: NodeId, _: Option<(RuleId, &Bindings)>) {}
+    fn before_replace(&mut self, ast: &Ast, old_root: NodeId, rule: Option<(RuleId, &Bindings)>) {
+        // Node-granularity engines act on the post event stream, but the
+        // rows it removes must be read while the tree is intact.
+        self.pre.capture(&self.rules, ast, old_root, rule);
+    }
 
     fn after_replace(&mut self, ast: &Ast, ctx: &ReplaceCtx<'_>) {
         if !self.log.is_open() {
@@ -597,7 +604,7 @@ impl MatchCore for DbtIvm {
             // the event stream in submission order.
             self.apply_submitted();
         }
-        for delta in common::deltas_of_ctx(ast, ctx) {
+        for delta in self.pre.deltas(ast, ctx) {
             if let Some(delta) = self.log.absorb(delta) {
                 self.apply_delta(&delta);
             }

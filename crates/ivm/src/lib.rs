@@ -27,5 +27,5 @@ pub mod dbtoaster;
 
 pub use batch::DeltaLog;
 pub use classic::ClassicIvm;
-pub use common::{deltas_of_ctx, ViewCore};
+pub use common::{PreImage, ViewCore};
 pub use dbtoaster::DbtIvm;

@@ -234,30 +234,28 @@ impl JitdIndex {
 
     /// Wraps the root for an insert: `root := Concat(root, Singleton)`.
     /// Returns the created nodes (for strategy `on_graft` notification).
-    pub fn wrap_insert(&mut self, key: i64, value: i64) -> Vec<NodeId> {
+    pub fn wrap_insert(&mut self, key: i64, value: i64) -> [NodeId; 2] {
         let l = self.labels;
         let old_root = self.ast.root();
         self.ast.detach(old_root);
-        let singleton = self.ast.alloc(
-            l.singleton,
-            vec![Value::Int(key), Value::Int(value)],
-            vec![],
-        );
-        let concat = self.ast.alloc(l.concat, vec![], vec![old_root, singleton]);
+        let singleton = self
+            .ast
+            .alloc(l.singleton, [Value::Int(key), Value::Int(value)], []);
+        let concat = self.ast.alloc(l.concat, [], [old_root, singleton]);
         self.ast.set_root(concat);
-        vec![singleton, concat]
+        [singleton, concat]
     }
 
     /// Wraps the root for a delete: `root := DeleteSingleton(key, root)`.
-    pub fn wrap_delete(&mut self, key: i64) -> Vec<NodeId> {
+    pub fn wrap_delete(&mut self, key: i64) -> [NodeId; 1] {
         let l = self.labels;
         let old_root = self.ast.root();
         self.ast.detach(old_root);
         let ds = self
             .ast
-            .alloc(l.delete_singleton, vec![Value::Int(key)], vec![old_root]);
+            .alloc(l.delete_singleton, [Value::Int(key)], [old_root]);
         self.ast.set_root(ds);
-        vec![ds]
+        [ds]
     }
 
     /// Structural sanity: BinTree separators partition their subtrees'
@@ -438,6 +436,40 @@ mod tests {
                 assert_eq!(idx.scan(i64::MIN, usize::MAX), want(i64::MIN, usize::MAX));
                 assert_eq!(idx.scan(KEYS / 3, 50), want(KEYS / 3, 50));
                 idx.check_structure().unwrap();
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    /// The arena's whole-subtree walks must not recurse per level either:
+    /// copying and comparing a 100 000-deep `Concat` spine overflows a
+    /// small thread stack if either one recurses.
+    #[test]
+    fn subtree_copy_and_compare_survive_a_deep_spine_on_a_small_stack() {
+        const DEPTH: i64 = 100_000;
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let mut idx = JitdIndex::load(recs(&[(1, 1), (2, 2)]));
+                for i in 0..DEPTH {
+                    idx.wrap_insert(i % 97, i);
+                }
+                let l = *idx.labels();
+                let root = idx.ast().root();
+                let ast = idx.ast_mut();
+                let copy = ast.clone_subtree(root);
+                assert_eq!(ast.subtree_size(copy), ast.subtree_size(root));
+                assert!(ast.deep_eq(root, copy));
+                // Change the copy's bottom Array: only a walk that
+                // reaches the last level can tell the trees apart.
+                let mut bottom = copy;
+                while ast.label(bottom) == l.concat {
+                    bottom = ast.children(bottom)[0];
+                }
+                ast.set_attr(bottom, l.size, Value::Int(-1));
+                assert!(!ast.deep_eq(root, copy));
+                ast.validate().unwrap();
             })
             .unwrap()
             .join()

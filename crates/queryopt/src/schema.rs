@@ -151,20 +151,14 @@ impl<'a> PlanBuilder<'a> {
     /// A base-table scan producing `cols`.
     pub fn table(&mut self, relid: i64, cols: impl IntoIterator<Item = u32>) -> NodeId {
         let out = Self::set(cols);
-        self.ast.alloc(
-            self.l.table,
-            vec![out, Value::set([]), Value::Int(relid)],
-            vec![],
-        )
+        self.ast
+            .alloc(self.l.table, [out, Value::set([]), Value::Int(relid)], [])
     }
 
     /// A local relation producing `cols`.
     pub fn local_relation(&mut self, cols: impl IntoIterator<Item = u32>) -> NodeId {
-        self.ast.alloc(
-            self.l.local_relation,
-            vec![Self::set(cols), Value::set([])],
-            vec![],
-        )
+        self.ast
+            .alloc(self.l.local_relation, [Self::set(cols), Value::set([])], [])
     }
 
     /// A projection to `cols`.
@@ -172,8 +166,8 @@ impl<'a> PlanBuilder<'a> {
         let refs = self.l.output_of(self.ast, child);
         self.ast.alloc(
             self.l.project,
-            vec![Self::set(cols), Value::Set(refs), Value::Bool(true)],
-            vec![child],
+            [Self::set(cols), Value::Set(refs), Value::Bool(true)],
+            [child],
         )
     }
 
@@ -188,13 +182,13 @@ impl<'a> PlanBuilder<'a> {
         let out = self.l.output_of(self.ast, child);
         self.ast.alloc(
             self.l.filter,
-            vec![
+            [
                 Value::Set(out),
                 Self::set(refs),
                 Value::Int(cond),
                 Value::Bool(true),
             ],
-            vec![child],
+            [child],
         )
     }
 
@@ -205,13 +199,13 @@ impl<'a> PlanBuilder<'a> {
         let out = lo.union(&ro);
         self.ast.alloc(
             self.l.join,
-            vec![
+            [
                 Value::Set(Arc::new(out)),
                 Value::set([]),
                 Value::str("Inner"),
                 Value::Int(cond),
             ],
-            vec![left, right],
+            [left, right],
         )
     }
 
@@ -220,13 +214,13 @@ impl<'a> PlanBuilder<'a> {
         let refs = self.l.output_of(self.ast, child);
         self.ast.alloc(
             self.l.aggregate,
-            vec![
+            [
                 Self::set(cols),
                 Value::Set(refs),
                 Value::Bool(true),
                 Value::Bool(true),
             ],
-            vec![child],
+            [child],
         )
     }
 
@@ -235,8 +229,8 @@ impl<'a> PlanBuilder<'a> {
         let out = self.l.output_of(self.ast, left);
         self.ast.alloc(
             self.l.union_all,
-            vec![Value::Set(out), Value::set([])],
-            vec![left, right],
+            [Value::Set(out), Value::set([])],
+            [left, right],
         )
     }
 
@@ -245,19 +239,16 @@ impl<'a> PlanBuilder<'a> {
         let out = self.l.output_of(self.ast, child);
         self.ast.alloc(
             self.l.sort,
-            vec![Value::Set(out.clone()), Value::Set(out)],
-            vec![child],
+            [Value::Set(out.clone()), Value::Set(out)],
+            [child],
         )
     }
 
     /// A distinct.
     pub fn distinct(&mut self, child: NodeId) -> NodeId {
         let out = self.l.output_of(self.ast, child);
-        self.ast.alloc(
-            self.l.distinct,
-            vec![Value::Set(out), Value::set([])],
-            vec![child],
-        )
+        self.ast
+            .alloc(self.l.distinct, [Value::Set(out), Value::set([])], [child])
     }
 
     /// A no-op projection (same output as its child) — RemoveNoopOperators
@@ -266,8 +257,8 @@ impl<'a> PlanBuilder<'a> {
         let out = self.l.output_of(self.ast, child);
         self.ast.alloc(
             self.l.project,
-            vec![Value::Set(out.clone()), Value::Set(out), Value::Bool(true)],
-            vec![child],
+            [Value::Set(out.clone()), Value::Set(out), Value::Bool(true)],
+            [child],
         )
     }
 
@@ -276,8 +267,8 @@ impl<'a> PlanBuilder<'a> {
         let out = self.l.output_of(self.ast, child);
         self.ast.alloc(
             self.l.window,
-            vec![Value::Set(out), Value::set([]), Value::Bool(true)],
-            vec![child],
+            [Value::Set(out), Value::set([]), Value::Bool(true)],
+            [child],
         )
     }
 
@@ -286,13 +277,13 @@ impl<'a> PlanBuilder<'a> {
         let out = self.l.output_of(self.ast, child);
         let local = self.ast.alloc(
             self.l.local_limit,
-            vec![Value::Set(out.clone()), Value::set([]), Value::Int(n)],
-            vec![child],
+            [Value::Set(out.clone()), Value::set([]), Value::Int(n)],
+            [child],
         );
         self.ast.alloc(
             self.l.global_limit,
-            vec![Value::Set(out), Value::set([]), Value::Int(n)],
-            vec![local],
+            [Value::Set(out), Value::set([]), Value::Int(n)],
+            [local],
         )
     }
 }
