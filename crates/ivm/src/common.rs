@@ -1,16 +1,16 @@
-//! Shared plumbing for the bolt-on engines.
+//! Shared plumbing for the bolt-on engine and its join plans.
 
 use treetoaster_core::{MatchView, ReplaceCtx, RuleId, RuleSet};
 use tt_ast::{Ast, Label, NodeId, NodeRow};
-use tt_pattern::{AttrSource, Bindings, Constraint, SqlQuery, VarId};
+use tt_pattern::{Bindings, Constraint, SqlQuery, VarId};
 use tt_relational::{Database, NodeDelta, RowAttrs};
 
 /// The rows one replacement destroys, as a bolt-on engine must report
 /// them: taken in `before_replace`, while the tree is still intact,
 /// because a rewrite reports freed nodes by id only.
 ///
-/// Both bolt-on engines keep one and translate every replacement through
-/// it, so their event streams are the same node-granularity stream.
+/// The bolt-on engine keeps one and translates every replacement through
+/// it, so Classic and DBT see the same node-granularity stream.
 #[derive(Debug)]
 pub struct PreImage {
     /// The replaced node (checked against the replacement reported).
@@ -190,6 +190,11 @@ impl ViewCore {
         self.roots.any()
     }
 
+    /// The multiplicity of `row` (0 if absent).
+    pub fn multiplicity(&self, row: &[NodeId]) -> i64 {
+        self.rows.get(row).copied().unwrap_or(0)
+    }
+
     /// Number of materialized rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -198,11 +203,6 @@ impl ViewCore {
     /// True if no rows are materialized.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Iterates `(row, multiplicity)`.
-    pub fn iter(&self) -> impl Iterator<Item = (&Box<[NodeId]>, i64)> {
-        self.rows.iter().map(|(r, &c)| (r, c))
     }
 
     /// Clears all state.
@@ -243,36 +243,6 @@ pub fn eval_filters(db: &Database, query: &SqlQuery, row: &[NodeId], indices: &[
 /// Evaluates a single-row arity test for `atom_index`.
 pub fn arity_ok(query: &SqlQuery, atom_index: usize, row: &NodeRow) -> bool {
     row.children.len() == query.atoms[atom_index].arity
-}
-
-/// Evaluates one filter constraint directly against a standalone tuple
-/// (used for single-atom checks before the tuple is in any map). The
-/// `AttrSource` resolves every variable to this row.
-pub struct SingleRowAttrs<'a> {
-    /// The query (for attribute index lookup).
-    pub query: &'a SqlQuery,
-    /// The database schema holder.
-    pub db: &'a Database,
-    /// The variable this tuple is bound to.
-    pub var: VarId,
-    /// The tuple.
-    pub row: &'a NodeRow,
-}
-
-impl AttrSource for SingleRowAttrs<'_> {
-    fn attr_of(&self, var: VarId, attr: tt_ast::AttrName) -> tt_ast::Value {
-        assert_eq!(
-            var, self.var,
-            "single-row filter referenced another variable"
-        );
-        let label = self.query.atom(var).label;
-        let idx = self
-            .db
-            .schema()
-            .attr_index(label, attr)
-            .expect("filter attribute not on label");
-        self.row.attrs[idx].clone()
-    }
 }
 
 #[cfg(test)]

@@ -14,13 +14,16 @@
 //! (`{Arith,Const}` and `{Arith,Var}`) beyond the bases and the full
 //! join — and the count "grows combinatorially with the join width",
 //! which is the memory overhead Figures 11/13 show.
+//!
+//! Everything around the plan — the shadow database, the node-event
+//! stream, epochs — is the shared [`BoltOnIvm`] shell.
 
+use crate::bolt_on::{BoltOnIvm, JoinPlan};
 use crate::common::{self, ViewCore};
-use std::sync::Arc;
-use treetoaster_core::{EpochOps, MatchCore, ReplaceCtx, RuleId, RuleSet};
-use tt_ast::{Ast, FxHashMap, Label, NodeId, NodeRow};
-use tt_pattern::{Bindings, SqlQuery, VarId};
-use tt_relational::{Database, NodeDelta};
+use treetoaster_core::RuleId;
+use tt_ast::{FxHashMap, NodeId, NodeRow};
+use tt_pattern::{SqlQuery, VarId};
+use tt_relational::{Database, JoinRow};
 
 /// How a materialized subset computes its key for one boundary edge.
 #[derive(Debug, Clone, Copy)]
@@ -190,16 +193,37 @@ impl SubsetState {
     }
 }
 
-/// Per-pattern DBToaster state.
-struct DbtQuery {
+/// The atoms reachable from `start` over join-tree `edges` without
+/// leaving the atom set `within` (both as bitmasks over atom indices).
+fn component(edges: &[(usize, usize)], within: u32, start: usize) -> u32 {
+    let mut seen = 1u32 << start;
+    let mut frontier = vec![start];
+    while let Some(a) = frontier.pop() {
+        for &(p, c) in edges {
+            for (u, v) in [(p, c), (c, p)] {
+                if u == a && within & (1 << v) != 0 && seen & (1 << v) == 0 {
+                    seen |= 1 << v;
+                    frontier.push(v);
+                }
+            }
+        }
+    }
+    seen
+}
+
+/// DBT's join plan for one pattern: a materialized map per connected
+/// sub-join, with the full join's rows also kept as the top view.
+pub struct SubsetPlan {
     query: SqlQuery,
     subsets: Vec<SubsetState>,
     full_index: usize,
     view: ViewCore,
 }
 
-impl DbtQuery {
-    fn new(query: SqlQuery) -> DbtQuery {
+impl JoinPlan for SubsetPlan {
+    const NAME: &'static str = "DBT";
+
+    fn new(query: SqlQuery) -> SubsetPlan {
         let k = query.width();
         let atom_of_var: FxHashMap<VarId, usize> = query
             .atoms
@@ -213,23 +237,7 @@ impl DbtQuery {
             .iter()
             .map(|j| (atom_of_var[&j.parent], atom_of_var[&j.child]))
             .collect();
-        let connected = |mask: u32| -> bool {
-            let start = (0..k).find(|i| mask & (1 << i) != 0).unwrap();
-            let mut seen = 1u32 << start;
-            let mut frontier = vec![start];
-            while let Some(a) = frontier.pop() {
-                for (ji, &(p, c)) in edges.iter().enumerate() {
-                    let _ = ji;
-                    for (u, v) in [(p, c), (c, p)] {
-                        if u == a && mask & (1 << v) != 0 && seen & (1 << v) == 0 {
-                            seen |= 1 << v;
-                            frontier.push(v);
-                        }
-                    }
-                }
-            }
-            seen == mask
-        };
+        let connected = |mask: u32| component(&edges, mask, mask.trailing_zeros() as usize) == mask;
         let mut masks: Vec<u32> = (1u32..(1 << k)).filter(|&m| connected(m)).collect();
         masks.sort_by_key(|m| m.count_ones());
         let index_of_mask: FxHashMap<u32, usize> =
@@ -284,19 +292,7 @@ impl DbtQuery {
                         let mut comp_masks: Vec<u32> = Vec::new();
                         let mut left = rem;
                         while left != 0 {
-                            let start = left.trailing_zeros() as usize;
-                            let mut seen = 1u32 << start;
-                            let mut frontier = vec![start];
-                            while let Some(a) = frontier.pop() {
-                                for &(p, c) in &edges {
-                                    for (u, v) in [(p, c), (c, p)] {
-                                        if u == a && rem & (1 << v) != 0 && seen & (1 << v) == 0 {
-                                            seen |= 1 << v;
-                                            frontier.push(v);
-                                        }
-                                    }
-                                }
-                            }
+                            let seen = component(&edges, rem, left.trailing_zeros() as usize);
                             comp_masks.push(seen);
                             left &= !seen;
                         }
@@ -355,7 +351,7 @@ impl DbtQuery {
 
         let full_index = index_of_mask[&((1u32 << k) - 1)];
         let root_var = query.root_var();
-        DbtQuery {
+        SubsetPlan {
             query,
             subsets,
             full_index,
@@ -363,14 +359,8 @@ impl DbtQuery {
         }
     }
 
-    fn atoms_for(&self, label: Label) -> Vec<usize> {
-        self.query
-            .atoms
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.label == label)
-            .map(|(i, _)| i)
-            .collect()
+    fn query(&self) -> &SqlQuery {
+        &self.query
     }
 
     /// Processes one tuple delta at atom `j`: for every materialized
@@ -437,6 +427,10 @@ impl DbtQuery {
         }
     }
 
+    fn view(&self) -> &ViewCore {
+        &self.view
+    }
+
     fn clear(&mut self) {
         for s in &mut self.subsets {
             s.rows.clear();
@@ -452,314 +446,42 @@ impl DbtQuery {
             .sum::<usize>()
             + self.view.memory_bytes()
     }
-}
 
-/// The **DBT** bolt-on strategy.
-pub struct DbtIvm {
-    rules: Arc<RuleSet>,
-    db: Database,
-    queries: Vec<DbtQuery>,
-    /// Epoch-scoped coalescing of the node event stream (see
-    /// [`crate::batch::DeltaLog`]); reads inside an open epoch flush it.
-    log: crate::batch::DeltaLog,
-    /// Net delta stream of an epoch sealed by `submit_commit`, awaiting
-    /// its background committer (see [`crate::classic::ClassicIvm`] for
-    /// the replay-order contract).
-    sealed: Vec<NodeDelta>,
-    /// Rows of the replacement in flight, from `before_replace`.
-    pre: common::PreImage,
-}
-
-impl DbtIvm {
-    /// Builds the strategy; call [`MatchCore::rebuild`] after loading.
-    pub fn new(rules: Arc<RuleSet>, ast: &Ast) -> DbtIvm {
-        let queries: Vec<DbtQuery> = rules
-            .iter()
-            .map(|(_, r)| DbtQuery::new(SqlQuery::from_pattern(&r.pattern)))
-            .collect();
-        let db = Self::fresh_db(ast, &queries);
-        DbtIvm {
-            rules,
-            db,
-            queries,
-            log: crate::batch::DeltaLog::new(),
-            sealed: Vec::new(),
-            pre: common::PreImage::default(),
+    /// The full-subset map must hold every expected row exactly once.
+    fn check_internal(&self, expected: &[JoinRow]) -> Result<(), String> {
+        let full = &self.subsets[self.full_index];
+        if full.rows.len() != expected.len() {
+            return Err(format!(
+                "full-subset map has {} rows, expected {}",
+                full.rows.len(),
+                expected.len()
+            ));
         }
-    }
-
-    /// A projected shadow database (§3.2).
-    fn fresh_db(ast: &Ast, queries: &[DbtQuery]) -> Database {
-        let refs: Vec<&SqlQuery> = queries.iter().map(|q| &q.query).collect();
-        let projection = tt_relational::Projection::for_queries(ast.schema(), &refs);
-        Database::with_projection(ast.schema().clone(), projection)
-    }
-
-    fn apply_delta(&mut self, delta: &NodeDelta) {
-        match delta {
-            NodeDelta::Remove(label, row) => {
-                for q in &mut self.queries {
-                    for j in q.atoms_for(*label) {
-                        q.process(&self.db, row, j, -1);
-                    }
-                }
-                self.db.remove(*label, row.id);
-            }
-            NodeDelta::Insert(label, row) => {
-                self.db.insert(*label, row.clone());
-                for q in &mut self.queries {
-                    for j in q.atoms_for(*label).into_iter().rev() {
-                        q.process(&self.db, row, j, 1);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Replays everything staged in the open epoch through the normal
-    /// sequential path — net deltas only, opposing pairs already gone.
-    /// A sealed epoch awaiting its committer replays first, preserving
-    /// epoch order.
-    fn flush_pending(&mut self) {
-        self.apply_submitted();
-        for delta in self.log.take_pending() {
-            self.apply_delta(&delta);
-        }
-    }
-
-    /// Number of materialized maps for rule `rule` (the paper counts 2
-    /// extra beyond bases + view for the running example).
-    pub fn materialized_map_count(&self, rule: RuleId) -> usize {
-        self.queries[rule].subsets.len()
-    }
-
-    /// Test oracle: the full-set map must equal a from-scratch evaluation.
-    pub fn check_views_correct(&self) -> Result<(), String> {
-        for (id, q) in self.queries.iter().enumerate() {
-            let expected = tt_relational::evaluate(&self.db, &q.query);
-            let full = &q.subsets[q.full_index];
-            if expected.len() != full.rows.len() {
-                return Err(format!(
-                    "dbt view {} has {} rows, expected {}",
-                    id,
-                    full.rows.len(),
-                    expected.len()
-                ));
-            }
-            for row in &expected {
-                if full.mult_of(row) != 1 {
-                    return Err(format!("dbt view {id} wrong multiplicity for {row:?}"));
-                }
-            }
-            if q.view.len() != expected.len() {
-                return Err(format!("dbt ViewCore out of sync for {id}"));
-            }
+        if let Some(row) = expected.iter().find(|row| full.mult_of(row) != 1) {
+            return Err(format!(
+                "full-subset map has the wrong multiplicity for {row:?}"
+            ));
         }
         Ok(())
     }
-
-    /// The rule set this engine serves.
-    pub fn rules(&self) -> &Arc<RuleSet> {
-        &self.rules
-    }
 }
 
-impl MatchCore for DbtIvm {
-    fn name(&self) -> &'static str {
-        "DBT"
-    }
+/// The **DBT** bolt-on strategy.
+pub type DbtIvm = BoltOnIvm<SubsetPlan>;
 
-    fn rebuild(&mut self, ast: &Ast) {
-        self.db = Self::fresh_db(ast, &self.queries);
-        for q in &mut self.queries {
-            q.clear();
-        }
-        self.log.clear();
-        self.sealed.clear();
-        if ast.root().is_null() {
-            return;
-        }
-        for n in ast.descendants(ast.root()) {
-            let label = ast.label(n);
-            let row = NodeRow::of(ast, n);
-            self.apply_delta(&NodeDelta::Insert(label, row));
-        }
-    }
-
-    fn find_one(&mut self, _ast: &Ast, rule: RuleId) -> Option<NodeId> {
-        self.flush_pending();
-        self.queries[rule].view.any_root()
-    }
-
-    fn before_replace(&mut self, ast: &Ast, old_root: NodeId, rule: Option<(RuleId, &Bindings)>) {
-        // Node-granularity engines act on the post event stream, but the
-        // rows it removes must be read while the tree is intact.
-        self.pre.capture(&self.rules, ast, old_root, rule);
-    }
-
-    fn after_replace(&mut self, ast: &Ast, ctx: &ReplaceCtx<'_>) {
-        if !self.log.is_open() {
-            // Out-of-epoch events apply directly, so a sealed epoch
-            // still awaiting its committer must replay first to keep
-            // the event stream in submission order.
-            self.apply_submitted();
-        }
-        for delta in self.pre.deltas(ast, ctx) {
-            if let Some(delta) = self.log.absorb(delta) {
-                self.apply_delta(&delta);
-            }
-        }
-    }
-
-    fn on_graft(&mut self, ast: &Ast, created: &[NodeId]) {
-        if !self.log.is_open() {
-            // Same ordering rule as `after_replace`.
-            self.apply_submitted();
-        }
-        for &n in created {
-            let delta = NodeDelta::Insert(ast.label(n), NodeRow::of(ast, n));
-            if let Some(delta) = self.log.absorb(delta) {
-                self.apply_delta(&delta);
-            }
-        }
-    }
-
-    fn check_consistent(&self, ast: &Ast) -> Result<(), String> {
-        if !self.log.is_empty() {
-            return Err("dbt engine has staged deltas in an open batch".into());
-        }
-        if !self.sealed.is_empty() {
-            return Err("dbt engine has a sealed epoch awaiting its committer".into());
-        }
-        common::check_shadow_db(&self.db, ast)?;
-        self.check_views_correct()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.db.memory_bytes()
-            + self
-                .queries
-                .iter()
-                .map(DbtQuery::memory_bytes)
-                .sum::<usize>()
-            + self.log.memory_bytes()
-            + self.sealed.capacity() * std::mem::size_of::<NodeDelta>()
-            + self
-                .sealed
-                .iter()
-                .map(|d| d.row().heap_bytes())
-                .sum::<usize>()
-    }
-
-    fn match_heat(&self) -> usize {
-        // Materialized match-view sizes; the unflushed delta log and any
-        // sealed-but-unapplied epoch are work the views haven't absorbed
-        // yet, so they count as heat too.
-        self.queries.iter().map(|q| q.view.len()).sum::<usize>()
-            + self.log.len()
-            + self.sealed.len()
-    }
-}
-
-impl EpochOps for DbtIvm {
-    fn begin_batch(&mut self) {
-        self.log.begin();
-    }
-
-    fn commit_batch(&mut self) {
-        self.flush_pending();
-        self.log.end();
-    }
-
-    fn submit_commit(&mut self) -> bool {
-        let pending = self.log.take_pending();
-        self.log.end();
-        if pending.is_empty() {
-            return false;
-        }
-        self.sealed.extend(pending);
-        true
-    }
-
-    fn apply_submitted(&mut self) -> bool {
-        if self.sealed.is_empty() {
-            return false;
-        }
-        let sealed = std::mem::take(&mut self.sealed);
-        for delta in &sealed {
-            self.apply_delta(delta);
-        }
-        true
-    }
-
-    fn has_submitted(&self) -> bool {
-        !self.sealed.is_empty()
-    }
-
-    fn batch_cancellation(&self) -> Option<(u64, u64)> {
-        Some(self.log.epoch_stats())
+impl DbtIvm {
+    /// Number of materialized maps for rule `rule` (the paper counts 2
+    /// extra beyond bases + view for the running example).
+    pub fn materialized_map_count(&self, rule: RuleId) -> usize {
+        self.plans[rule].subsets.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use treetoaster_core::generator::reuse;
-    use treetoaster_core::{ReplaceCtx, RewriteRule, RuleFired};
-    use tt_ast::schema::arith_schema;
-    use tt_ast::sexpr::parse_sexpr;
-    use tt_pattern::dsl as p;
-    use tt_pattern::{match_node, Pattern};
-
-    fn rules() -> Arc<RuleSet> {
-        let s = arith_schema();
-        let pattern = Pattern::compile(
-            &s,
-            p::node(
-                "Arith",
-                "A",
-                [
-                    p::node("Const", "B", [], p::eq(p::attr("B", "val"), p::int(0))),
-                    p::node("Var", "C", [], p::tru()),
-                ],
-                p::eq(p::attr("A", "op"), p::str_("+")),
-            ),
-        );
-        Arc::new(RuleSet::from_rules(vec![RewriteRule::new(
-            "AddZero",
-            &s,
-            pattern,
-            reuse("C"),
-        )]))
-    }
-
-    fn tree(text: &str) -> Ast {
-        let mut ast = Ast::new(arith_schema());
-        let id = parse_sexpr(&mut ast, text).unwrap();
-        ast.set_root(id);
-        ast
-    }
-
-    fn fire(engine: &mut DbtIvm, ast: &mut Ast, rid: usize, site: NodeId) {
-        let rules = engine.rules().clone();
-        let rule = rules.get(rid);
-        let bindings = match_node(ast, site, &rule.pattern).unwrap();
-        engine.before_replace(ast, site, Some((rid, &bindings)));
-        let applied = rule.apply(ast, site, &bindings, 0);
-        let ctx = ReplaceCtx {
-            old_root: applied.old_root,
-            new_root: applied.new_root,
-            removed: &applied.removed,
-            inserted: applied.inserted(),
-            parent_update: applied.parent_update.as_ref(),
-            rule: Some(RuleFired {
-                rule: rid,
-                bindings: &bindings,
-                applied: &applied,
-            }),
-        };
-        engine.after_replace(ast, &ctx);
-    }
+    use crate::bolt_on::tests::{fire, rules, tree};
+    use treetoaster_core::MatchCore;
 
     #[test]
     fn running_example_materializes_six_maps() {
@@ -777,7 +499,7 @@ mod tests {
         let mut engine = DbtIvm::new(rules(), &ast);
         engine.rebuild(&ast);
         engine.check_views_correct().unwrap();
-        assert!(engine.queries[0].view.any_root().is_some());
+        assert!(engine.plans[0].view.any_root().is_some());
     }
 
     #[test]
@@ -789,105 +511,6 @@ mod tests {
         let site = engine.find_one(&ast, 0).unwrap();
         fire(&mut engine, &mut ast, 0, site);
         engine.check_views_correct().unwrap();
-        assert!(engine.find_one(&ast, 0).is_none());
-        ast.validate().unwrap();
-    }
-
-    #[test]
-    fn cascading_rewrite_exposes_parent_match() {
-        let s = arith_schema();
-        let mul_one = {
-            let pattern = Pattern::compile(
-                &s,
-                p::node(
-                    "Arith",
-                    "M",
-                    [
-                        p::node("Const", "K", [], p::eq(p::attr("K", "val"), p::int(1))),
-                        p::node("Var", "V", [], p::tru()),
-                    ],
-                    p::eq(p::attr("M", "op"), p::str_("*")),
-                ),
-            );
-            RewriteRule::new("MulOne", &s, pattern, reuse("V"))
-        };
-        let add_zero_rule = rules().get(0).clone();
-        let rules = Arc::new(RuleSet::from_rules(vec![add_zero_rule, mul_one]));
-        let mut ast =
-            tree(r#"(Arith op="+" (Const val=0) (Arith op="*" (Const val=1) (Var name="y")))"#);
-        let mut engine = DbtIvm::new(rules, &ast);
-        engine.rebuild(&ast);
-        assert!(engine.find_one(&ast, 0).is_none());
-        let site = engine.find_one(&ast, 1).unwrap();
-        fire(&mut engine, &mut ast, 1, site);
-        engine.check_views_correct().unwrap();
-        let site = engine.find_one(&ast, 0).expect("parent became a match");
-        fire(&mut engine, &mut ast, 0, site);
-        engine.check_views_correct().unwrap();
-        assert_eq!(
-            tt_ast::sexpr::to_sexpr(&ast, ast.root()),
-            r#"(Var name="y")"#
-        );
-    }
-
-    #[test]
-    fn self_join_pattern_counts_correctly() {
-        let s = arith_schema();
-        let pattern = Pattern::compile(
-            &s,
-            p::node(
-                "Arith",
-                "A",
-                [
-                    p::node("Arith", "B", [p::any(), p::any()], p::tru()),
-                    p::any(),
-                ],
-                p::tru(),
-            ),
-        );
-        let rule = RewriteRule::new(
-            "Nested",
-            &s,
-            pattern,
-            treetoaster_core::generator::gen(
-                "Const",
-                [(
-                    "val",
-                    treetoaster_core::generator::aconst(tt_ast::Value::Int(0)),
-                )],
-                [],
-            ),
-        );
-        let rules = Arc::new(RuleSet::from_rules(vec![rule]));
-        let ast = tree(
-            r#"(Arith op="*" (Arith op="+" (Arith op="*" (Const val=2) (Var name="y")) (Var name="x")) (Var name="z"))"#,
-        );
-        let mut engine = DbtIvm::new(rules, &ast);
-        engine.rebuild(&ast);
-        engine.check_views_correct().unwrap();
-        assert_eq!(engine.queries[0].view.len(), 2);
-    }
-
-    #[test]
-    fn batched_epoch_coalesces_and_commits_correctly() {
-        let mut ast = tree(
-            r#"(Arith op="*" (Arith op="+" (Const val=0) (Var name="a")) (Arith op="+" (Const val=0) (Var name="b")))"#,
-        );
-        let rules = rules();
-        let mut engine = DbtIvm::new(rules.clone(), &ast);
-        engine.rebuild(&ast);
-        engine.begin_batch();
-        for _ in 0..2 {
-            let (site, _) =
-                tt_pattern::find_first(&ast, ast.root(), &rules.get(0).pattern).unwrap();
-            fire(&mut engine, &mut ast, 0, site);
-        }
-        engine.commit_batch();
-        assert!(
-            engine.log.coalesced() >= 2,
-            "overlapping parent updates must cancel"
-        );
-        engine.check_consistent(&ast).unwrap();
         assert!(engine.find_one(&ast, 0).is_none());
         ast.validate().unwrap();
     }

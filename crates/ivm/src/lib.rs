@@ -1,6 +1,6 @@
-//! Bolt-on incremental view maintenance engines (paper §3).
+//! Bolt-on incremental view maintenance baselines (paper §3).
 //!
-//! Both engines operate on the relational encoding of the AST and consume
+//! Both baselines operate on the relational encoding of the AST and consume
 //! node-granularity insert/delete events — "DBToaster-generated view
 //! structures register updates at the granularity of individual node
 //! insertions/deletions" (§3.2) — which forces them to keep a **shadow
@@ -8,24 +8,35 @@
 //! materialized intermediate state, is the memory overhead the paper's
 //! Figures 11/13 charge them with.
 //!
-//! - [`classic::ClassicIvm`] — Ross et al.'s cascading IVM: one left-deep
-//!   join plan per pattern with every prefix join materialized
-//!   (DBToaster's `--depth=1` analogue in the evaluation).
-//! - [`dbtoaster::DbtIvm`] — DBToaster-style higher-order delta
-//!   processing: a materialized map for *every connected sub-join* of the
-//!   pattern (all possible plans), so each single-tuple delta is answered
-//!   by joining the tuple against precomputed complements.
+//! The two baselines differ in one decision only — which join results
+//! they materialize — so there is one engine, [`bolt_on::BoltOnIvm`],
+//! generic over a [`bolt_on::JoinPlan`]. It owns the shadow database,
+//! the [`DeltaLog`] and sealed epoch, the [`PreImage`], rebuild and
+//! replay, and the one `MatchCore` + `EpochOps` implementation. The
+//! plans are the paper's two baselines, kept exactly as published:
 //!
-//! Shared plumbing lives in [`common`]; [`batch`] adds the epoch-scoped
-//! [`DeltaLog`] both engines use to coalesce overlapping deltas across a
+//! - [`classic::ClassicIvm`] = `BoltOnIvm<PrefixPlan>` — Ross et al.'s
+//!   cascading IVM: one left-deep join plan per pattern with every prefix
+//!   join materialized (DBToaster's `--depth=1` analogue in the
+//!   evaluation).
+//! - [`dbtoaster::DbtIvm`] = `BoltOnIvm<SubsetPlan>` — DBToaster-style
+//!   higher-order delta processing: a materialized map for *every
+//!   connected sub-join* of the pattern (all possible plans), so each
+//!   single-tuple delta is answered by joining the tuple against
+//!   precomputed complements.
+//!
+//! Shared plumbing lives in [`common`]; [`batch`] holds the epoch-scoped
+//! [`DeltaLog`] the shell uses to coalesce overlapping deltas across a
 //! rewrite burst before replaying only the net event stream.
 
 pub mod batch;
+pub mod bolt_on;
 pub mod classic;
 pub mod common;
 pub mod dbtoaster;
 
 pub use batch::DeltaLog;
+pub use bolt_on::{BoltOnIvm, JoinPlan};
 pub use classic::ClassicIvm;
 pub use common::{PreImage, ViewCore};
 pub use dbtoaster::DbtIvm;
