@@ -403,103 +403,94 @@ pub(crate) mod tests {
             .0
     }
 
-    #[test]
-    fn cascading_rewrite_exposes_parent_match() {
-        fn run<P: JoinPlan>() {
-            let rules = Arc::new(RuleSet::from_rules(vec![
-                arith_rule("AddZero", "+", 0, "C"),
-                arith_rule("MulOne", "*", 1, "V"),
-            ]));
-            let mut ast =
-                tree(r#"(Arith op="+" (Const val=0) (Arith op="*" (Const val=1) (Var name="y")))"#);
-            let mut engine = BoltOnIvm::<P>::new(rules, &ast);
-            engine.rebuild(&ast);
-            assert!(engine.find_one(&ast, 0).is_none());
-            let site = engine.find_one(&ast, 1).unwrap();
-            fire(&mut engine, &mut ast, 1, site);
-            engine.check_views_correct().unwrap();
-            let site = engine
-                .find_one(&ast, 0)
-                .unwrap_or_else(|| panic!("{}: parent became an AddZero site", P::NAME));
+    /// A rewrite below a non-site makes its parent an `AddZero` site.
+    /// Run by `classic::tests` and `dbtoaster::tests` on their plan.
+    pub(crate) fn cascading_rewrite_exposes_parent_match<P: JoinPlan>() {
+        let rules = Arc::new(RuleSet::from_rules(vec![
+            arith_rule("AddZero", "+", 0, "C"),
+            arith_rule("MulOne", "*", 1, "V"),
+        ]));
+        let mut ast =
+            tree(r#"(Arith op="+" (Const val=0) (Arith op="*" (Const val=1) (Var name="y")))"#);
+        let mut engine = BoltOnIvm::<P>::new(rules, &ast);
+        engine.rebuild(&ast);
+        assert!(engine.find_one(&ast, 0).is_none());
+        let site = engine.find_one(&ast, 1).unwrap();
+        fire(&mut engine, &mut ast, 1, site);
+        engine.check_views_correct().unwrap();
+        let site = engine
+            .find_one(&ast, 0)
+            .unwrap_or_else(|| panic!("{}: parent became an AddZero site", P::NAME));
+        fire(&mut engine, &mut ast, 0, site);
+        engine.check_views_correct().unwrap();
+        assert_eq!(to_sexpr(&ast, ast.root()), r#"(Var name="y")"#);
+    }
+
+    /// A pattern that repeats a label counts both nested sites.
+    /// Run by `classic::tests` and `dbtoaster::tests` on their plan.
+    pub(crate) fn self_join_pattern_counts_correctly<P: JoinPlan>() {
+        // Pattern with repeated label: Arith over (Arith, Any).
+        let s = arith_schema();
+        let pattern = Pattern::compile(
+            &s,
+            p::node(
+                "Arith",
+                "A",
+                [
+                    p::node("Arith", "B", [p::any(), p::any()], p::tru()),
+                    p::any(),
+                ],
+                p::tru(),
+            ),
+        );
+        let rule = RewriteRule::new(
+            "Nested",
+            &s,
+            pattern,
+            treetoaster_core::generator::gen(
+                "Const",
+                [("val", treetoaster_core::generator::aconst(Value::Int(0)))],
+                [],
+            ),
+        );
+        let rules = Arc::new(RuleSet::from_rules(vec![rule]));
+        // ((2*y)+x)*z shape: Arith(Arith(Arith(c,v),v),v) — two nested sites.
+        let ast = tree(
+            r#"(Arith op="*" (Arith op="+" (Arith op="*" (Const val=2) (Var name="y")) (Var name="x")) (Var name="z"))"#,
+        );
+        let mut engine = BoltOnIvm::<P>::new(rules, &ast);
+        engine.rebuild(&ast);
+        engine.check_views_correct().unwrap();
+        assert_eq!(engine.plans[0].view().len(), 2, "{}", P::NAME);
+    }
+
+    /// Two rewrites in one epoch telescope their parent updates in the log.
+    /// Run by `classic::tests` and `dbtoaster::tests` on their plan.
+    pub(crate) fn batched_epoch_coalesces_and_commits_correctly<P: JoinPlan>() {
+        // Two AddZero sites under one parent, fired inside one epoch.
+        // The two parent-image updates must telescope in the log
+        // before commit replays the net stream.
+        let mut ast = tree(
+            r#"(Arith op="*" (Arith op="+" (Const val=0) (Var name="a")) (Arith op="+" (Const val=0) (Var name="b")))"#,
+        );
+        let rules = rules();
+        let mut engine = BoltOnIvm::<P>::new(rules.clone(), &ast);
+        engine.rebuild(&ast);
+        engine.begin_batch();
+        for _ in 0..2 {
+            let site = naive_site(&ast, &rules, 0);
             fire(&mut engine, &mut ast, 0, site);
-            engine.check_views_correct().unwrap();
-            assert_eq!(to_sexpr(&ast, ast.root()), r#"(Var name="y")"#);
         }
-        run::<PrefixPlan>();
-        run::<SubsetPlan>();
-    }
-
-    #[test]
-    fn self_join_pattern_counts_correctly() {
-        fn run<P: JoinPlan>() {
-            // Pattern with repeated label: Arith over (Arith, Any).
-            let s = arith_schema();
-            let pattern = Pattern::compile(
-                &s,
-                p::node(
-                    "Arith",
-                    "A",
-                    [
-                        p::node("Arith", "B", [p::any(), p::any()], p::tru()),
-                        p::any(),
-                    ],
-                    p::tru(),
-                ),
-            );
-            let rule = RewriteRule::new(
-                "Nested",
-                &s,
-                pattern,
-                treetoaster_core::generator::gen(
-                    "Const",
-                    [("val", treetoaster_core::generator::aconst(Value::Int(0)))],
-                    [],
-                ),
-            );
-            let rules = Arc::new(RuleSet::from_rules(vec![rule]));
-            // ((2*y)+x)*z shape: Arith(Arith(Arith(c,v),v),v) — two nested sites.
-            let ast = tree(
-                r#"(Arith op="*" (Arith op="+" (Arith op="*" (Const val=2) (Var name="y")) (Var name="x")) (Var name="z"))"#,
-            );
-            let mut engine = BoltOnIvm::<P>::new(rules, &ast);
-            engine.rebuild(&ast);
-            engine.check_views_correct().unwrap();
-            assert_eq!(engine.plans[0].view().len(), 2, "{}", P::NAME);
-        }
-        run::<PrefixPlan>();
-        run::<SubsetPlan>();
-    }
-
-    #[test]
-    fn batched_epoch_coalesces_and_commits_correctly() {
-        fn run<P: JoinPlan>() {
-            // Two AddZero sites under one parent, fired inside one epoch.
-            // The two parent-image updates must telescope in the log
-            // before commit replays the net stream.
-            let mut ast = tree(
-                r#"(Arith op="*" (Arith op="+" (Const val=0) (Var name="a")) (Arith op="+" (Const val=0) (Var name="b")))"#,
-            );
-            let rules = rules();
-            let mut engine = BoltOnIvm::<P>::new(rules.clone(), &ast);
-            engine.rebuild(&ast);
-            engine.begin_batch();
-            for _ in 0..2 {
-                let site = naive_site(&ast, &rules, 0);
-                fire(&mut engine, &mut ast, 0, site);
-            }
-            assert!(engine.log.staged() > 0, "{}", P::NAME);
-            engine.commit_batch();
-            assert!(
-                engine.log.coalesced() >= 2,
-                "{}: overlapping parent updates must cancel",
-                P::NAME
-            );
-            engine.check_consistent(&ast).unwrap();
-            assert!(engine.find_one(&ast, 0).is_none());
-            ast.validate().unwrap();
-        }
-        run::<PrefixPlan>();
-        run::<SubsetPlan>();
+        assert!(engine.log.staged() > 0, "{}", P::NAME);
+        engine.commit_batch();
+        assert!(
+            engine.log.coalesced() >= 2,
+            "{}: overlapping parent updates must cancel",
+            P::NAME
+        );
+        engine.check_consistent(&ast).unwrap();
+        assert!(engine.find_one(&ast, 0).is_none());
+        ast.validate().unwrap();
     }
 
     #[test]

@@ -280,6 +280,21 @@ mod tests {
     use treetoaster_core::MatchCore;
 
     #[test]
+    fn cascading_rewrite_exposes_parent_match() {
+        crate::bolt_on::tests::cascading_rewrite_exposes_parent_match::<PrefixPlan>();
+    }
+
+    #[test]
+    fn self_join_pattern_counts_correctly() {
+        crate::bolt_on::tests::self_join_pattern_counts_correctly::<PrefixPlan>();
+    }
+
+    #[test]
+    fn batched_epoch_coalesces_and_commits_correctly() {
+        crate::bolt_on::tests::batched_epoch_coalesces_and_commits_correctly::<PrefixPlan>();
+    }
+
+    #[test]
     fn rebuild_materializes_view_and_prefixes() {
         let ast = tree(r#"(Arith op="+" (Const val=0) (Var name="b"))"#);
         let mut engine = ClassicIvm::new(rules(), &ast);

@@ -484,6 +484,21 @@ mod tests {
     use treetoaster_core::MatchCore;
 
     #[test]
+    fn cascading_rewrite_exposes_parent_match() {
+        crate::bolt_on::tests::cascading_rewrite_exposes_parent_match::<SubsetPlan>();
+    }
+
+    #[test]
+    fn self_join_pattern_counts_correctly() {
+        crate::bolt_on::tests::self_join_pattern_counts_correctly::<SubsetPlan>();
+    }
+
+    #[test]
+    fn batched_epoch_coalesces_and_commits_correctly() {
+        crate::bolt_on::tests::batched_epoch_coalesces_and_commits_correctly::<SubsetPlan>();
+    }
+
+    #[test]
     fn running_example_materializes_six_maps() {
         // Atoms {A,B,C} with edges A−B, A−C: connected subsets are
         // {A},{B},{C},{AB},{AC},{ABC} — the two "additional view queries"
