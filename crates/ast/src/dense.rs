@@ -2,7 +2,7 @@
 //!
 //! [`NodeId`] is already a dense `u32` arena index, yet the first version
 //! of every hot maintenance structure — view multiplicity maps, posting
-//! list positions, epoch delta buffers — keyed an `FxHashMap` by it,
+//! list positions, epoch deltas — keyed an `FxHashMap` by it,
 //! paying a hash, a probe sequence, and tombstone churn per update. §4 of
 //! the paper promises `find_one` in O(1) with "negligible memory
 //! overhead"; the same holds for *maintenance* only if each staged delta
@@ -14,13 +14,16 @@
 //!   view over a huge arena holds only the pages its members fall in, and
 //!   a steady-state update (the overwhelmingly common case: a node whose
 //!   page already exists) is one bounds check and one indexed store —
-//!   no hashing, no probing, no allocation.
+//!   no hashing, no probing, no allocation. The Z-sets every epoch stages
+//!   into ([`ZSet`](crate::ZSet): one per TreeToaster view, one per
+//!   label of the label index) are `NodeMap`s of signed weights.
 //! - [`NodeBitSet`] — one bit per node, for membership-only scratch sets.
-//! - [`NodeLabelMap<T>`] — `(Label, NodeId) → T` for the epoch logs that
-//!   must distinguish an arena slot freed under one label and reused
-//!   under another. Keyed densely by node; the per-node label dimension
-//!   is a one-inline-entry structure (a node carries exactly one label at
-//!   a time, so the spill vector is empty in steady state).
+//! - [`NodeLabelMap<T>`] — `(Label, NodeId) → T` for the bolt-ons' epoch
+//!   log (`tt_ivm`'s `DeltaLog`), which must distinguish an arena slot
+//!   freed under one label and reused under another. Keyed densely by
+//!   node; the per-node label dimension is a one-inline-entry structure
+//!   (a node carries exactly one label at a time, so the spill vector is
+//!   empty in steady state).
 //!
 //! ### Page size
 //!
@@ -38,7 +41,7 @@
 //! [`NodeMap`] carries a generation counter and every page records the
 //! generation it was last written in. [`NodeMap::clear`] is therefore an
 //! O(1) stamp bump — no page walk — which matters for the epoch
-//! structures (delta buffers, staging maps) that clear once per epoch,
+//! structures (Z-sets, the bolt-ons' log) that clear once per epoch,
 //! and for fleet deployments where per-tree structures clear whenever
 //! their shard's epoch turns over. A stale page (stamp ≠ current
 //! generation) reads as empty and is lazily wiped on its first write, so
@@ -501,9 +504,11 @@ struct LabelSlot<T> {
 
 /// A dense map keyed by `(Label, NodeId)`, node-major.
 ///
-/// The epoch logs (`tt_ivm`'s `DeltaLog`, the label-index staging buffer)
-/// key by label *and* node because an arena slot freed under one label
-/// can be recycled under another before the epoch commits. Keying the
+/// The bolt-ons' epoch log (`tt_ivm`'s `DeltaLog`) keys by label *and*
+/// node because an arena slot freed under one label can be recycled
+/// under another before the epoch commits. (The label index stages one
+/// [`ZSet`](crate::ZSet) per label instead, which separates labels by
+/// construction.) Keying the
 /// page structure by node keeps the hot path direct-indexed; the label
 /// dimension is resolved by at most one inline comparison in steady
 /// state.

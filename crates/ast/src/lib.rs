@@ -14,9 +14,10 @@
 //! - [`dense`] — the dense node-indexed storage layer ([`NodeMap`],
 //!   [`NodeBitSet`], [`NodeLabelMap`]): page-backed direct-indexed maps
 //!   that every maintenance-hot-path structure (views, posting lists,
-//!   epoch delta buffers) uses instead of hashing `NodeId` keys,
-//! - [`multiset::GenMultiset`] — Blizard generalized multisets (§5) with
-//!   signed multiplicities and ⊕ / ⊖ operators,
+//!   epoch Z-sets) uses instead of hashing `NodeId` keys,
+//! - [`zset::ZSet`] — the Z-set (Blizard's generalized multiset, §5):
+//!   signed weights with ⊕ / ⊖ and cancellation, the container every
+//!   TreeToaster and label-index epoch stages into,
 //! - [`fxhash`] — a fast FxHash-style hasher for the remaining (cold or
 //!   non-`NodeId`-keyed) maps; avoids SipHash in inner loops,
 //! - [`sexpr`] — an s-expression printer/parser used by tests, examples,
@@ -25,14 +26,14 @@
 pub mod arena;
 pub mod dense;
 pub mod fxhash;
-pub mod multiset;
 pub mod schema;
 pub mod sexpr;
 pub mod value;
+pub mod zset;
 
 pub use arena::{Ast, Node, NodeId, NodeRow, SmallList};
 pub use dense::{NodeBitSet, NodeLabelMap, NodeMap};
 pub use fxhash::{FxHashMap, FxHashSet};
-pub use multiset::GenMultiset;
 pub use schema::{AttrName, Label, Schema, SchemaBuilder};
 pub use value::{IntSet, Record, Value};
+pub use zset::{Weight, ZSet};

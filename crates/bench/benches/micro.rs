@@ -1,12 +1,12 @@
 //! Criterion micro-benchmarks for the core operations every figure's
-//! numbers are built from: pattern evaluation, view updates, generalized
-//! multiset algebra, per-strategy `find_one`, and one full reorganization
+//! numbers are built from: pattern evaluation, view updates, Z-set
+//! algebra, per-strategy `find_one`, and one full reorganization
 //! step per strategy.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::sync::Arc;
 use treetoaster_core::{MatchCore, TreeToasterEngine};
-use tt_ast::{GenMultiset, NodeId, Record};
+use tt_ast::{NodeId, Record, ZSet};
 use tt_jitd::{jitd_schema, paper_rules, Jitd, JitdIndex, RuleConfig, StrategyKind};
 use tt_pattern::matches;
 
@@ -73,11 +73,15 @@ fn bench_pattern_eval(c: &mut Criterion) {
 
 fn bench_multiset_ops(c: &mut Criterion) {
     c.bench_function("multiset_union_1k", |b| {
-        let a: GenMultiset = (0..1000).map(|i| (NodeId::from_index(i), 1i64)).collect();
-        let d: GenMultiset = (500..1500)
+        let a: ZSet = (0..1000).map(|i| (NodeId::from_index(i), 1i64)).collect();
+        let d: ZSet = (500..1500)
             .map(|i| (NodeId::from_index(i), -1i64))
             .collect();
-        b.iter(|| a.union(&d))
+        b.iter(|| {
+            let mut u = a.clone();
+            u += &d;
+            u
+        })
     });
 }
 

@@ -1,157 +1,253 @@
-//! Batched (epoch/transactional) view maintenance.
+//! Batched (epoch) maintenance: one epoch pipeline for every strategy
+//! that stages signed deltas.
 //!
-//! The paper's engine reconciles views after every single
-//! `replace(R, R′)`. A production optimizer instead fires long rewrite
-//! *bursts* in which consecutive deltas overlap and cancel: a node
-//! inserted by rewrite `i` is often consumed by rewrite `j > i` in the
-//! same burst, so its `+1` and `−1` view deltas annihilate before either
-//! needs to touch a [`MatchView`]. The [`DeltaBuffer`] realizes this
-//! DBToaster-style coalescing for TreeToaster's node-granularity views:
-//! per-view signed multiplicity deltas accumulate across an epoch and
-//! opposing entries cancel eagerly; only the surviving net deltas are
-//! applied at commit via [`MatchView::apply_delta`].
+//! The paper reconciles views after every `replace(R, R′)`. A rewrite
+//! burst instead produces deltas that overlap and cancel: a node born in
+//! rewrite `i` and consumed in rewrite `j > i` contributes `+1` and `−1`,
+//! which annihilate before either touches a maintained structure.
 //!
-//! The buffer maintains the invariant that, at every point inside an
-//! epoch, `view ⊕ pending` equals the up-to-date view — which is what
-//! lets [`TreeToasterEngine`](crate::engine::TreeToasterEngine) answer
-//! `find_one` mid-epoch through a cheap overlay instead of flushing.
-//! Because the deltas are signed and compose, the invariant survives a
-//! pipelined commit too: an epoch **sealed** for a background committer
-//! (`MatchSource::submit_commit`) and the next epoch's open buffer
-//! overlay as `view ⊕ sealed ⊕ pending`, summing entries per node —
-//! exactly what one merged buffer would hold. Draining the sealed
-//! buffer first (commit order) transfers its entries into the views
-//! without disturbing the open epoch's.
+//! An epoch is one [`ZSet`] per *slot* of the structure it maintains (a
+//! TreeToaster view per rule, a label-index posting list per label).
+//! [`Epochs`] owns their whole life once: `begin` opens an epoch on the
+//! recycled spare's pages; `stage` adds a delta to it; `seal` closes it
+//! into the one sealed slot (landing an older seal first); `land`
+//! drains the sealed epoch into the structure ([`Integral`]) and keeps
+//! its pages as the spare. A commit is a seal followed by a land — the
+//! pipeline with zero lag. Outside an epoch `stage` lands any sealed
+//! epoch before applying a delta directly, so deltas always reach the
+//! structure in submission order. At every point `structure ⊕ sealed ⊕
+//! open` is current, so reads answer through an [`Overlay`].
 
 use crate::view::MatchView;
-use tt_ast::{NodeId, NodeMap};
+use tt_ast::{NodeId, Weight, ZSet};
 
-/// Signed multiplicity deltas staged against a set of per-rule views.
-///
-/// One dense [`NodeMap`] per view; staging a delta that returns an entry
-/// to net zero removes the entry — that removal *is* the cancellation.
-/// Pages are retained across epochs, so a long-lived buffer stages and
-/// drains without allocating.
-///
-/// # Example
+/// A structure maintained by signed deltas, addressed by slot: what
+/// epochs of Z-sets integrate into.
+pub trait Integral<W = i64> {
+    /// Applies one delta directly (no epoch open).
+    fn add(&mut self, slot: usize, node: NodeId, weight: W);
+
+    /// Lands one slot's net epoch delta, leaving `delta` empty.
+    fn land(&mut self, slot: usize, delta: &mut ZSet<W>);
+}
+
+/// TreeToaster's views: slot = rule.
+impl Integral for Vec<MatchView> {
+    #[inline]
+    fn add(&mut self, slot: usize, node: NodeId, weight: i64) {
+        self[slot].add(node, weight);
+    }
+
+    fn land(&mut self, slot: usize, delta: &mut ZSet) {
+        self[slot].apply_delta(delta.drain());
+        debug_assert!(
+            self[slot].check_consistent().is_ok(),
+            "view corrupted by commit"
+        );
+    }
+}
+
+/// The epoch pipeline of one maintained structure: the open epoch, the
+/// one sealed epoch awaiting its committer, and the landed spare whose
+/// pages the next epoch reuses, each one Z-set per slot.
 ///
 /// ```
-/// use treetoaster_core::{DeltaBuffer, MatchView};
+/// use treetoaster_core::{Epochs, MatchView};
 /// use tt_ast::NodeId;
 ///
-/// let mut buffer = DeltaBuffer::new(1);
+/// let (mut views, mut epochs) = (vec![MatchView::new()], Epochs::new(1));
 /// let node = NodeId::from_index(3);
-/// // A node born and consumed inside the same epoch annihilates in the
-/// // buffer — the view never sees either delta.
-/// buffer.stage(0, node, 1);
-/// buffer.stage(0, node, -1);
-/// assert!(buffer.is_empty());
-/// assert_eq!((buffer.staged(), buffer.canceled()), (2, 2));
-/// // Surviving net deltas land on the views at commit.
-/// buffer.stage(0, node, 1);
-/// let mut views = vec![MatchView::new()];
-/// buffer.drain_into(&mut views);
+/// epochs.begin();
+/// // Born, consumed and born again in one epoch: the view sees +1 once.
+/// for weight in [1, -1, 1] {
+///     epochs.stage(&mut views, 0, node, weight);
+/// }
+/// assert_eq!(epochs.stats(), Some((3, 2)));
+/// assert!(epochs.seal(&mut views) && epochs.land(&mut views));
 /// assert!(views[0].contains(node));
 /// ```
-#[derive(Debug, Default)]
-pub struct DeltaBuffer {
-    per_view: Vec<NodeMap<i64>>,
-    /// Deltas staged since creation (including later-canceled ones).
+#[derive(Default)]
+pub struct Epochs<W = i64> {
+    slots: usize,
+    open: Option<Vec<ZSet<W>>>,
+    sealed: Option<Vec<ZSet<W>>>,
+    spare: Option<Vec<ZSet<W>>>,
+    /// Deltas staged in the open or most recently closed epoch.
     staged: u64,
-    /// Staged deltas that annihilated with an opposing entry.
+    /// Those of them that annihilated with an opposing entry.
     canceled: u64,
 }
 
-impl DeltaBuffer {
-    /// An empty buffer for `views` views.
-    pub fn new(views: usize) -> DeltaBuffer {
-        DeltaBuffer {
-            per_view: (0..views).map(|_| NodeMap::new()).collect(),
-            staged: 0,
-            canceled: 0,
+/// The Z-sets of the given epochs.
+fn sets<W, const N: usize>(epochs: [&Option<Vec<ZSet<W>>>; N]) -> impl Iterator<Item = &ZSet<W>> {
+    epochs.into_iter().flatten().flatten()
+}
+
+impl<W: Weight> Epochs<W> {
+    /// No epoch yet, over a structure of `slots` slots.
+    pub fn new(slots: usize) -> Epochs<W> {
+        Epochs {
+            slots,
+            ..Epochs::default()
         }
     }
 
-    /// Number of views this buffer covers.
-    pub fn view_count(&self) -> usize {
-        self.per_view.len()
-    }
-
-    /// Stages `delta` against `node` in `view`, cancelling in place when
-    /// the entry's net reaches zero.
-    pub fn stage(&mut self, view: usize, node: NodeId, delta: i64) {
-        if delta == 0 {
-            return;
-        }
-        self.staged += 1;
-        let map = &mut self.per_view[view];
-        let entry = map.get_or_insert_with(node, || 0);
-        *entry += delta;
-        if *entry == 0 {
-            map.remove(node);
-            // This stage op and the one(s) it annihilated.
-            self.canceled += 2;
+    /// Opens an epoch on the spare's pages (a no-op if one is open).
+    pub fn begin(&mut self) {
+        if self.open.is_none() {
+            let slots = self.slots;
+            let mut sets = self
+                .spare
+                .take()
+                .unwrap_or_else(|| (0..slots).map(|_| ZSet::new()).collect());
+            sets.iter_mut().for_each(ZSet::clear);
+            self.open = Some(sets);
+            (self.staged, self.canceled) = (0, 0);
         }
     }
 
-    /// Net pending delta for `node` in `view` (0 when absent).
-    pub fn pending(&self, view: usize, node: NodeId) -> i64 {
-        self.per_view[view].get(node).copied().unwrap_or(0)
+    /// Stages `weight` for `node` in `slot`. With no epoch open the
+    /// delta goes straight to `target`, after any sealed epoch lands.
+    #[inline]
+    pub fn stage<T: Integral<W> + ?Sized>(
+        &mut self,
+        target: &mut T,
+        slot: usize,
+        node: NodeId,
+        weight: W,
+    ) {
+        match &mut self.open {
+            Some(_) if weight == W::default() => {}
+            Some(open) => {
+                self.staged += 1;
+                if open[slot].add(node, weight) == W::default() {
+                    // This delta and the one(s) it annihilated.
+                    self.canceled += 2;
+                }
+            }
+            None => {
+                if self.sealed.is_some() {
+                    self.land(target);
+                }
+                target.add(slot, node, weight);
+            }
+        }
     }
 
-    /// The pending delta map of one view.
-    pub fn view_deltas(&self, view: usize) -> &NodeMap<i64> {
-        &self.per_view[view]
+    /// Closes the open epoch into the sealed slot, landing an older seal
+    /// first (at most one epoch in flight). Returns `false` when nothing
+    /// was sealed: no epoch was open, or none of its deltas survived.
+    pub fn seal<T: Integral<W> + ?Sized>(&mut self, target: &mut T) -> bool {
+        let Some(open) = self.open.take() else {
+            return false;
+        };
+        self.land(target);
+        if open.iter().all(ZSet::is_empty) {
+            self.spare = Some(open);
+            return false;
+        }
+        self.sealed = Some(open);
+        true
     }
 
-    /// True if no net delta is pending anywhere.
-    pub fn is_empty(&self) -> bool {
-        self.per_view.iter().all(NodeMap::is_empty)
+    /// Lands the sealed epoch on `target`, slot by slot in order, and
+    /// keeps its drained Z-sets as the spare. Returns whether an epoch
+    /// was sealed.
+    pub fn land<T: Integral<W> + ?Sized>(&mut self, target: &mut T) -> bool {
+        let Some(mut sealed) = self.sealed.take() else {
+            return false;
+        };
+        for (slot, set) in sealed.iter_mut().enumerate().filter(|(_, z)| !z.is_empty()) {
+            target.land(slot, set);
+        }
+        self.spare = Some(sealed);
+        true
     }
 
-    /// Total net entries pending across all views.
-    pub fn len(&self) -> usize {
-        self.per_view.iter().map(NodeMap::len).sum()
+    /// True while a sealed epoch awaits [`land`](Epochs::land).
+    pub fn has_sealed(&self) -> bool {
+        self.sealed.is_some()
     }
 
-    /// Deltas staged over the buffer's lifetime.
-    pub fn staged(&self) -> u64 {
-        self.staged
-    }
-
-    /// Empties all staged state and zeroes the lifetime counters while
-    /// keeping allocated pages — the engine recycles one buffer across
-    /// epochs so begin/commit cycles stop allocating.
+    /// Drops everything staged or sealed (the structure was rebuilt from
+    /// scratch), keeping every page. An open epoch stays open.
     pub fn reset(&mut self) {
-        for map in &mut self.per_view {
-            map.clear();
+        if let Some(sealed) = self.sealed.take() {
+            self.spare = Some(sealed);
         }
-        self.staged = 0;
-        self.canceled = 0;
+        let (open, spare) = (&mut self.open, &mut self.spare);
+        open.iter_mut().chain(spare).flatten().for_each(ZSet::clear);
+        (self.staged, self.canceled) = (0, 0);
     }
 
-    /// Staged deltas that cancelled against an opposing entry — work the
-    /// views never had to absorb.
-    pub fn canceled(&self) -> u64 {
-        self.canceled
+    /// Net deltas not yet landed: the open epoch's plus the sealed one's.
+    pub fn pending(&self) -> usize {
+        sets([&self.open, &self.sealed]).map(ZSet::len).sum()
     }
 
-    /// Applies every surviving net delta to its view and empties the
-    /// buffer (the epoch commit).
-    pub fn drain_into(&mut self, views: &mut [MatchView]) {
-        assert_eq!(
-            views.len(),
-            self.per_view.len(),
-            "buffer/view arity mismatch"
-        );
-        for (view, map) in views.iter_mut().zip(self.per_view.iter_mut()) {
-            view.apply_delta(map.drain());
+    /// `(staged, canceled)` of the open, else the most recently closed,
+    /// epoch; `None` before the first epoch.
+    pub fn stats(&self) -> Option<(u64, u64)> {
+        let begun = self.open.is_some() || self.sealed.is_some() || self.spare.is_some();
+        begun.then_some((self.staged, self.canceled))
+    }
+
+    /// An error naming `owner` while any delta is staged or sealed: the
+    /// structure alone is then not comparable to a from-scratch rebuild.
+    pub fn check_landed(&self, owner: &str) -> Result<(), String> {
+        if sets([&self.open]).any(|z| !z.is_empty()) {
+            return Err(format!("{owner} has staged deltas in an open epoch"));
         }
+        if self.sealed.is_some() {
+            return Err(format!("{owner} has a sealed epoch awaiting its committer"));
+        }
+        Ok(())
     }
 
-    /// Approximate heap bytes (allocated pages are charged in full).
+    /// Heap bytes of all three epochs (allocated pages charged in full).
     pub fn memory_bytes(&self) -> usize {
-        self.per_view.iter().map(NodeMap::memory_bytes).sum()
+        sets([&self.open, &self.sealed, &self.spare])
+            .map(ZSet::memory_bytes)
+            .sum()
+    }
+
+    /// The pending deltas of one slot.
+    #[inline]
+    pub fn overlay(&self, slot: usize) -> Overlay<'_, W> {
+        Overlay(
+            [&self.sealed, &self.open]
+                .map(|e| e.as_ref().map(|sets| &sets[slot]).filter(|z| !z.is_empty())),
+        )
+    }
+}
+
+/// One slot's pending deltas, sealed epoch first: the slot's current
+/// state is `structure ⊕ sealed ⊕ open`. A node of net weight 0 reads
+/// straight from the structure. The hot shape is one epoch pending (a
+/// synchronous commit cycle never holds a sealed epoch): one probe per
+/// read.
+#[derive(Clone, Copy)]
+pub struct Overlay<'a, W = i64>([Option<&'a ZSet<W>>; 2]);
+
+impl<'a, W: Weight> Overlay<'a, W> {
+    /// True when nothing is pending.
+    #[inline]
+    pub fn is_clean(self) -> bool {
+        matches!(self.0, [None, None])
+    }
+
+    /// Net pending weight of `node`.
+    #[inline]
+    pub fn weight(self, node: NodeId) -> W {
+        self.0.into_iter().flatten().map(|z| z.get(node)).sum()
+    }
+
+    /// Nodes with pending deltas (one both epochs touched comes twice).
+    pub fn touched(self) -> impl Iterator<Item = NodeId> + 'a {
+        self.0
+            .into_iter()
+            .flatten()
+            .flat_map(|z| z.iter().map(|(n, _)| n))
     }
 }
 
@@ -163,102 +259,196 @@ mod tests {
         NodeId::from_index(i)
     }
 
+    fn views(k: usize) -> Vec<MatchView> {
+        (0..k).map(|_| MatchView::new()).collect()
+    }
+
+    /// An open epoch over `k` slots, and `k` empty views.
+    fn open(k: usize) -> (Vec<MatchView>, Epochs) {
+        let mut e = Epochs::new(k);
+        e.begin();
+        (views(k), e)
+    }
+
     #[test]
     fn opposing_unit_deltas_cancel() {
-        let mut b = DeltaBuffer::new(1);
-        b.stage(0, n(1), 1);
-        assert_eq!(b.pending(0, n(1)), 1);
-        b.stage(0, n(1), -1);
-        assert_eq!(b.pending(0, n(1)), 0);
-        assert!(b.is_empty(), "insert+delete of the same node annihilates");
-        assert_eq!(b.staged(), 2);
-        assert_eq!(b.canceled(), 2);
+        let (mut v, mut e) = open(1);
+        e.stage(&mut v, 0, n(1), 1);
+        assert_eq!(e.overlay(0).weight(n(1)), 1);
+        e.stage(&mut v, 0, n(1), -1);
+        assert_eq!(e.overlay(0).weight(n(1)), 0);
+        assert!(e.overlay(0).is_clean(), "insert+delete annihilates");
+        assert_eq!(e.stats(), Some((2, 2)));
     }
 
     #[test]
     fn cancellation_is_order_independent() {
-        let mut b = DeltaBuffer::new(1);
-        b.stage(0, n(7), -1);
-        b.stage(0, n(7), 1);
-        assert!(b.is_empty(), "−1 then +1 cancels too");
-        assert_eq!(b.canceled(), 2);
+        let (mut v, mut e) = open(1);
+        e.stage(&mut v, 0, n(7), -1);
+        e.stage(&mut v, 0, n(7), 1);
+        assert_eq!(e.pending(), 0, "−1 then +1 cancels too");
+        assert_eq!(e.stats(), Some((2, 2)));
     }
 
     #[test]
     fn canceled_entry_can_be_restaged() {
-        let mut b = DeltaBuffer::new(1);
-        b.stage(0, n(3), 1);
-        b.stage(0, n(3), -1);
-        b.stage(0, n(3), 1);
-        assert_eq!(b.pending(0, n(3)), 1);
-        assert_eq!(b.len(), 1);
+        let (mut v, mut e) = open(1);
+        for weight in [1, -1, 1] {
+            e.stage(&mut v, 0, n(3), weight);
+        }
+        assert_eq!(e.overlay(0).weight(n(3)), 1);
+        assert_eq!(e.pending(), 1);
     }
 
     #[test]
     fn views_are_independent() {
-        let mut b = DeltaBuffer::new(2);
-        b.stage(0, n(1), 1);
-        b.stage(1, n(1), -1);
-        assert_eq!(b.pending(0, n(1)), 1);
-        assert_eq!(b.pending(1, n(1)), -1);
-        assert_eq!(b.len(), 2);
-        assert!(!b.is_empty());
+        let (mut v, mut e) = open(2);
+        e.stage(&mut v, 0, n(1), 1);
+        e.stage(&mut v, 1, n(1), -1);
+        assert_eq!(e.overlay(0).weight(n(1)), 1);
+        assert_eq!(e.overlay(1).weight(n(1)), -1);
+        assert_eq!(e.pending(), 2);
     }
 
     #[test]
     fn zero_delta_is_noop() {
-        let mut b = DeltaBuffer::new(1);
-        b.stage(0, n(1), 0);
-        assert!(b.is_empty());
-        assert_eq!(b.staged(), 0);
+        let (mut v, mut e) = open(1);
+        e.stage(&mut v, 0, n(1), 0);
+        assert_eq!((e.pending(), e.stats()), (0, Some((0, 0))));
     }
 
     #[test]
     fn drain_applies_net_deltas_only() {
-        let mut views = vec![MatchView::new(), MatchView::new()];
-        views[0].add(n(1), 1); // pre-existing member, to be removed
-        let mut b = DeltaBuffer::new(2);
-        b.stage(0, n(1), -1); // drop the member
-        b.stage(0, n(2), 1); // new member
-        b.stage(0, n(3), 1); // transient: born and killed in the epoch
-        b.stage(0, n(3), -1);
-        b.stage(1, n(9), 1);
-        b.drain_into(&mut views);
-        assert!(b.is_empty());
-        assert!(!views[0].contains(n(1)));
-        assert!(views[0].contains(n(2)));
-        assert!(!views[0].contains(n(3)));
-        assert_eq!(views[0].len(), 1);
-        assert_eq!(views[1].any(), Some(n(9)));
-        views[0].check_consistent().unwrap();
-        views[1].check_consistent().unwrap();
+        let (mut v, mut e) = open(2);
+        v[0].add(n(1), 1); // pre-existing member, to be removed
+        e.stage(&mut v, 0, n(1), -1); // drop the member
+        e.stage(&mut v, 0, n(2), 1); // new member
+        e.stage(&mut v, 0, n(3), 1); // transient: born and killed in the epoch
+        e.stage(&mut v, 0, n(3), -1);
+        e.stage(&mut v, 1, n(9), 1);
+        assert!(v[0].contains(n(1)), "staging leaves the views alone");
+        assert!(e.seal(&mut v) && e.land(&mut v));
+        assert_eq!(e.pending(), 0);
+        assert!(!v[0].contains(n(1)));
+        assert!(v[0].contains(n(2)));
+        assert!(!v[0].contains(n(3)));
+        assert_eq!(v[0].len(), 1);
+        assert_eq!(v[1].any(), Some(n(9)));
+        e.check_landed("views").unwrap();
     }
 
     #[test]
     fn drain_then_reuse() {
-        let mut views = vec![MatchView::new()];
-        let mut b = DeltaBuffer::new(1);
-        b.stage(0, n(1), 1);
-        b.drain_into(&mut views);
-        b.stage(0, n(2), 1);
-        assert_eq!(b.len(), 1);
-        b.drain_into(&mut views);
-        assert_eq!(views[0].len(), 2);
+        let (mut v, mut e) = open(1);
+        e.stage(&mut v, 0, n(1), 1);
+        assert!(e.seal(&mut v) && e.land(&mut v));
+        e.begin();
+        e.stage(&mut v, 0, n(2), 1);
+        assert_eq!(e.pending(), 1, "the reused epoch starts empty");
+        assert!(e.seal(&mut v) && e.land(&mut v));
+        assert_eq!(v[0].len(), 2);
     }
 
+    /// Deltas for a slot the structure lacks are never dropped silently.
     #[test]
-    #[should_panic(expected = "arity mismatch")]
+    #[should_panic]
     fn drain_checks_arity() {
-        let mut views = vec![MatchView::new()];
-        DeltaBuffer::new(2).drain_into(&mut views);
+        let (mut v, mut e) = open(2);
+        v.pop();
+        e.stage(&mut v, 1, n(1), 1);
+        e.seal(&mut v);
+        e.land(&mut v);
     }
 
     #[test]
     fn memory_accounting_grows_with_entries() {
-        let mut b = DeltaBuffer::new(1);
+        let (mut v, mut e) = open(1);
+        assert_eq!(e.memory_bytes(), 0);
         for i in 0..64 {
-            b.stage(0, n(i), 1);
+            e.stage(&mut v, 0, n(i), 1);
         }
-        assert!(b.memory_bytes() > 0);
+        assert!(e.memory_bytes() > 0);
+    }
+
+    #[test]
+    fn empty_epochs_seal_nothing_and_outside_epochs_apply_directly() {
+        let mut v = views(1);
+        let mut e = Epochs::new(1);
+        assert_eq!(e.stats(), None, "no epoch yet");
+        assert!(!e.seal(&mut v), "no epoch open");
+        e.begin();
+        e.begin();
+        assert!(!e.seal(&mut v), "an empty epoch is never sealed");
+        assert!(!e.has_sealed());
+        e.stage(&mut v, 0, n(4), 1);
+        assert!(v[0].contains(n(4)), "no epoch: the delta lands at once");
+        assert_eq!(e.stats(), Some((0, 0)), "the closed epoch's counters");
+    }
+
+    #[test]
+    fn overlay_composes_sealed_and_open() {
+        let (mut v, mut e) = open(1);
+        e.stage(&mut v, 0, n(1), 1);
+        e.stage(&mut v, 0, n(2), 1);
+        assert!(e.seal(&mut v));
+        e.begin();
+        e.stage(&mut v, 0, n(1), -1);
+        e.stage(&mut v, 0, n(5), 1);
+        let o = e.overlay(0);
+        assert_eq!((o.weight(n(1)), o.weight(n(2)), o.weight(n(5))), (0, 1, 1));
+        assert_eq!(o.touched().collect::<Vec<_>>(), [n(1), n(2), n(1), n(5)]);
+        assert_eq!(e.pending(), 4);
+        e.check_landed("views").unwrap_err();
+    }
+
+    #[test]
+    fn out_of_epoch_deltas_land_the_sealed_epoch_first() {
+        // Node 1 is born in a sealed epoch; a later rewrite outside any
+        // epoch kills it. The death must not reach the view before the
+        // birth does.
+        let (mut v, mut e) = open(1);
+        e.stage(&mut v, 0, n(1), 1);
+        assert!(e.seal(&mut v));
+        e.stage(&mut v, 0, n(1), -1);
+        assert!(!e.has_sealed(), "the stage landed the seal");
+        assert!(v[0].is_empty());
+        v[0].check_consistent().unwrap();
+        assert!(!e.land(&mut v), "the committer's later pass is a no-op");
+    }
+
+    #[test]
+    fn a_second_seal_lands_the_first() {
+        let mut v = views(1);
+        let mut e = Epochs::new(1);
+        for i in 0..2 {
+            e.begin();
+            e.stage(&mut v, 0, n(i), 1);
+            assert!(e.seal(&mut v));
+        }
+        assert!(v[0].contains(n(0)) && !v[0].contains(n(1)));
+        assert!(e.land(&mut v));
+        assert_eq!(v[0].len(), 2);
+    }
+
+    #[test]
+    fn epochs_recycle_pages_and_reset_keeps_them() {
+        let mut v = views(1);
+        let mut e = Epochs::new(1);
+        for round in 0..3 {
+            e.begin();
+            for i in 0..64 {
+                e.stage(&mut v, 0, n(i), if round % 2 == 0 { 1 } else { -1 });
+            }
+            assert!(e.seal(&mut v) && e.land(&mut v));
+        }
+        let bytes = e.memory_bytes();
+        assert!(bytes > 0);
+        e.begin();
+        e.stage(&mut v, 0, n(7), -1);
+        assert!(e.seal(&mut v));
+        e.reset();
+        assert_eq!(e.pending(), 0);
+        assert!(!e.has_sealed());
+        assert_eq!(e.memory_bytes(), bytes, "one epoch's pages, reused");
     }
 }

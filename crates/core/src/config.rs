@@ -18,6 +18,10 @@
 //! | `TT_SESSIONS`        | 64      | [`FleetConfig::sessions`]          |
 //! | `TT_WORKERS`         | 2       | [`FleetConfig::workers`]           |
 //! | `TT_HEAT_THRESHOLD`  | 1       | [`FleetConfig::heat_threshold`]    |
+//!
+//! `TT_ASYNC_COMMIT` moves only the bench's epoch drivers: the
+//! `tt-serve` daemon always pipelines its commits (`Daemon::new` runs
+//! its fleet in `CommitMode::Async` whatever the field says).
 
 /// Reads an integer environment knob (unset or unparsable → default).
 pub fn env_u64(name: &str, default: u64) -> u64 {
@@ -38,12 +42,13 @@ pub struct EngineConfig {
     pub crack_threshold: usize,
     /// Master seed.
     pub seed: u64,
-    /// Pipelined epoch commits: when set, the epoch drivers close each
-    /// epoch with a *seal* (`submit_commit`) instead of an inline
-    /// `commit_batch`, and the sealed epoch is applied one epoch later
-    /// (the strategies' one-epoch-in-flight backpressure keeps ordering;
-    /// a final drain lands the last epoch). Off by default — the
-    /// synchronous commit path is byte-for-byte unchanged.
+    /// Pipelined epoch commits in the bench's epoch drivers
+    /// (`tt_bench`): when set, they close each epoch with a *seal*
+    /// (`submit_commit`) instead of an inline `commit_batch`, and the
+    /// sealed epoch lands one epoch later (the strategies'
+    /// one-epoch-in-flight backpressure keeps ordering; a final drain
+    /// lands the last epoch). Off by default. The `tt-serve` daemon
+    /// ignores it: it always pipelines.
     pub async_commit: bool,
 }
 
@@ -106,8 +111,10 @@ impl EngineConfig {
 
 /// A sharded deployment on top of an [`EngineConfig`]: how many session
 /// shards exist and how the shared worker pool drains them. Plain data —
-/// the `jitd` crate maps `workers`/`heat_threshold` onto its
-/// `StealConfig` and `async_commit` onto its `CommitMode`.
+/// the daemon maps `workers`/`heat_threshold` onto the `jitd` crate's
+/// `StealConfig`. Its commit mode is not configurable: the daemon always
+/// runs `CommitMode::Async` (the engine's `async_commit` moves only the
+/// bench's epoch drivers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetConfig {
     /// Per-shard engine configuration.

@@ -16,7 +16,7 @@
 //! generated positions, destroyed positions, and ancestor heights are
 //! touched — reused subtrees are skipped entirely.
 
-use crate::batch::DeltaBuffer;
+use crate::batch::Epochs;
 use crate::inline::InlineMatrix;
 use crate::rules::RuleSet;
 use crate::strategy::{EpochOps, MatchCore, ReplaceCtx, RuleId};
@@ -35,23 +35,25 @@ pub enum MaintenanceMode {
     Generic,
 }
 
+/// Which side of the pointer swap an inlined phase runs on, with what
+/// it names the candidate positions by.
+#[derive(Clone, Copy)]
+enum Side<'a> {
+    /// Before: the fired rule's bindings (destroyed positions).
+    Pre(&'a Bindings),
+    /// After: the generated nodes, by `Gen` index.
+    Post(&'a [NodeId]),
+}
+
 /// The TreeToaster engine: per-rule views over the live AST.
 pub struct TreeToasterEngine {
     rules: Arc<RuleSet>,
     views: Vec<MatchView>,
     mode: MaintenanceMode,
-    /// Open maintenance epoch: deltas stage here (and cancel) instead of
-    /// touching the views. `None` = immediate (K=1) maintenance.
-    batch: Option<DeltaBuffer>,
-    /// An epoch sealed by [`EpochOps::submit_commit`], awaiting its
-    /// background committer. Reads overlay it alongside the open batch
-    /// (`view ⊕ sealed ⊕ pending` is the up-to-date view); at most one
-    /// epoch is ever sealed.
-    sealed: Option<DeltaBuffer>,
-    /// The previous epoch's drained buffer, kept so its dense pages are
-    /// reused by the next [`EpochOps::begin_batch`] instead of being
-    /// freed and re-allocated every epoch.
-    spare: Option<DeltaBuffer>,
+    /// The epoch pipeline over the views, one Z-set per rule: deltas
+    /// stage (and cancel) there while an epoch is open, and go straight
+    /// to the views otherwise (immediate, K=1 maintenance).
+    epochs: Epochs,
     /// Reusable automaton work buffers, so a steady-state `replace` —
     /// one subtree walk plus a handful of candidate checks — performs
     /// zero heap allocations.
@@ -72,45 +74,18 @@ impl TreeToasterEngine {
     pub fn with_mode(rules: Arc<RuleSet>, mode: MaintenanceMode) -> Self {
         let views = (0..rules.len()).map(|_| MatchView::new()).collect();
         Self {
+            epochs: Epochs::new(rules.len()),
             rules,
             views,
             mode,
-            batch: None,
-            sealed: None,
-            spare: None,
             scratch: AutomatonScratch::default(),
         }
     }
 
-    /// Net deltas currently staged in an open epoch, plus any sealed
-    /// epoch's surviving deltas still awaiting the committer (0 when
-    /// fully applied).
+    /// Net deltas not yet in the views: the open epoch's plus those of a
+    /// sealed epoch awaiting its committer.
     pub fn pending_deltas(&self) -> usize {
-        self.batch.as_ref().map_or(0, DeltaBuffer::len)
-            + self.sealed.as_ref().map_or(0, DeltaBuffer::len)
-    }
-
-    /// `(staged, canceled)` counters of the open epoch's buffer, if any —
-    /// `canceled` deltas are maintenance the views never had to absorb.
-    pub fn batch_stats(&self) -> Option<(u64, u64)> {
-        self.batch.as_ref().map(|b| (b.staged(), b.canceled()))
-    }
-
-    /// Routes one view delta through the open epoch (or straight into
-    /// the view when none is open). Takes the fields directly so callers
-    /// holding a borrow of `self.rules` can still stage.
-    #[inline]
-    fn stage_into(
-        batch: &mut Option<DeltaBuffer>,
-        views: &mut [MatchView],
-        view: usize,
-        node: NodeId,
-        delta: i64,
-    ) {
-        match batch {
-            Some(buffer) => buffer.stage(view, node, delta),
-            None => views[view].add(node, delta),
-        }
+        self.epochs.pending()
     }
 
     /// The view maintained for `rule`.
@@ -167,13 +142,13 @@ impl TreeToasterEngine {
         let Self {
             rules,
             views,
-            batch,
+            epochs,
             scratch,
             ..
         } = self;
         let auto = rules.automaton();
         auto.for_each_match(ast, root, scratch, &mut |n, id, _| {
-            Self::stage_into(batch, views, id, n, sign);
+            epochs.stage(views, id, n, sign);
         });
         for h in 1..=auto.max_depth() {
             let a = ast.ancestor_at(root, h);
@@ -182,66 +157,39 @@ impl TreeToasterEngine {
             }
             auto.run_at(ast, a, scratch, &mut |id, _| {
                 if auto.depth(id) >= h {
-                    Self::stage_into(batch, views, id, a, sign);
+                    epochs.stage(views, id, a, sign);
                 }
             });
         }
     }
 
-    /// Inlined pre-phase: check only destroyed candidate positions and
-    /// planned ancestor heights.
-    fn inlined_pre(&mut self, ast: &Ast, old_root: NodeId, fired: RuleId, bindings: &Bindings) {
+    /// Inlined phase (Algorithm 3): before the swap, check only the
+    /// destroyed candidate positions, after it only the aligned generated
+    /// ones, and in both the planned ancestor heights of `root`.
+    fn inlined_phase(&mut self, ast: &Ast, root: NodeId, fired: RuleId, side: Side<'_>) {
         let Self {
             rules,
             views,
-            batch,
+            epochs,
             scratch,
             ..
         } = self;
-        let auto = rules.automaton();
-        let matrix = rules.inline_matrix();
+        let (auto, matrix) = (rules.automaton(), rules.inline_matrix());
+        let sign = if let Side::Pre(_) = side { -1 } else { 1 };
         for id in 0..rules.len() {
             let plan = matrix.plan(id, fired).expect("caller checked plan exists");
-            for &var in &plan.removed_candidates {
-                let n = bindings.get(var);
-                if auto.run_rule(ast, n, id, scratch) {
-                    Self::stage_into(batch, views, id, n, -1);
+            // Stages `sign` for view `id` at `n` if `n` matches.
+            let mut at = |n: NodeId| {
+                if !n.is_null() && auto.run_rule(ast, n, id, scratch) {
+                    epochs.stage(views, id, n, sign);
                 }
+            };
+            match side {
+                Side::Pre(b) => plan.removed_candidates.iter().for_each(|&v| at(b.get(v))),
+                Side::Post(gen) => plan.gen_candidates.iter().for_each(|&g| at(gen[g])),
             }
             for &h in &plan.ancestor_heights {
-                let a = ast.ancestor_at(old_root, h);
-                if !a.is_null() && auto.run_rule(ast, a, id, scratch) {
-                    Self::stage_into(batch, views, id, a, -1);
-                }
-            }
-        }
-    }
-
-    /// Inlined post-phase: check only aligned generated positions and the
-    /// same ancestor heights.
-    fn inlined_post(&mut self, ast: &Ast, new_root: NodeId, fired: RuleId, gen_nodes: &[NodeId]) {
-        let Self {
-            rules,
-            views,
-            batch,
-            scratch,
-            ..
-        } = self;
-        let auto = rules.automaton();
-        let matrix = rules.inline_matrix();
-        for id in 0..rules.len() {
-            let plan = matrix.plan(id, fired).expect("caller checked plan exists");
-            for &gi in &plan.gen_candidates {
-                let n = gen_nodes[gi];
-                if auto.run_rule(ast, n, id, scratch) {
-                    Self::stage_into(batch, views, id, n, 1);
-                }
-            }
-            for &h in &plan.ancestor_heights {
-                let a = ast.ancestor_at(new_root, h);
-                if !a.is_null() && auto.run_rule(ast, a, id, scratch) {
-                    Self::stage_into(batch, views, id, a, 1);
-                }
+                at(ast.ancestor_at(root, h));
             }
         }
     }
@@ -257,20 +205,9 @@ impl MatchCore for TreeToasterEngine {
     }
 
     fn rebuild(&mut self, ast: &Ast) {
-        for v in &mut self.views {
-            v.clear();
-        }
-        // A rebuild supersedes anything staged or sealed: restart the
-        // epoch empty (pages retained for the coming deltas).
-        if let Some(buffer) = &mut self.batch {
-            buffer.reset();
-        }
-        if let Some(sealed) = self.sealed.take() {
-            self.spare = Some(sealed);
-        }
-        if let Some(spare) = &mut self.spare {
-            spare.reset();
-        }
+        // A rebuild supersedes anything staged or sealed.
+        self.views.iter_mut().for_each(MatchView::clear);
+        self.epochs.reset();
         let root = ast.root();
         if root.is_null() {
             return;
@@ -292,66 +229,28 @@ impl MatchCore for TreeToasterEngine {
 
     fn find_one(&mut self, _ast: &Ast, rule: RuleId) -> Option<NodeId> {
         // The views are stale by exactly the deltas staged in the open
-        // epoch plus any sealed epoch awaiting its committer, and
-        // `view ⊕ sealed ⊕ pending` is the up-to-date view — so answer
-        // through an overlay instead of forcing a commit. This read-path
+        // epoch plus any sealed epoch awaiting its committer, so answer
+        // through the overlay instead of forcing a commit. This read-path
         // asymmetry is the point: the bolt-on engines must reconcile
-        // their whole event stream to answer the same question. Signed
-        // deltas compose, so summing the two buffers' entries per node
-        // gives the same overlay as one merged buffer would.
-        let sealed = self
-            .sealed
-            .as_ref()
-            .map(|b| b.view_deltas(rule))
-            .filter(|p| !p.is_empty());
-        let open = self
-            .batch
-            .as_ref()
-            .map(|b| b.view_deltas(rule))
-            .filter(|p| !p.is_empty());
-        let (first, second) = match (sealed, open) {
-            (None, None) => return self.views[rule].any(),
-            // Single-buffer overlay — one probe per scanned member. This
-            // is the hot shape (a synchronous commit cycle never holds a
-            // sealed epoch), so it must not pay for the composed case.
-            (Some(p), None) | (None, Some(p)) => {
-                if let Some(n) = self.views[rule].iter().find(|&n| !p.contains_key(n)) {
-                    return Some(n);
-                }
-                return p
-                    .iter()
-                    .filter(|&(n, &d)| self.views[rule].count(n) + d > 0)
-                    .map(|(n, _)| n)
-                    .next();
-            }
-            (Some(s), Some(o)) => (s, o),
-        };
-        let delta =
-            |n: NodeId| first.get(n).copied().unwrap_or(0) + second.get(n).copied().unwrap_or(0);
-        // Any member neither epoch touched is still a match…
-        if let Some(n) = self.views[rule].iter().find(|&n| delta(n) == 0) {
-            return Some(n);
+        // their whole event stream to answer the same question.
+        let view = &self.views[rule];
+        let overlay = self.epochs.overlay(rule);
+        if overlay.is_clean() {
+            return view.any();
         }
-        // …otherwise a touched node with positive net support.
-        [first, second]
-            .iter()
-            .flat_map(|p| p.iter())
-            .map(|(n, _)| n)
-            .find(|&n| self.views[rule].count(n) + delta(n) > 0)
+        // Any member no epoch touched is still a match, otherwise a
+        // touched node with positive net support.
+        view.iter().find(|&n| overlay.weight(n) == 0).or_else(|| {
+            overlay
+                .touched()
+                .find(|&n| view.count(n) + overlay.weight(n) > 0)
+        })
     }
 
     fn before_replace(&mut self, ast: &Ast, old_root: NodeId, rule: Option<(RuleId, &Bindings)>) {
-        if self.batch.is_none() {
-            // A rewrite outside an epoch maintains the views in place,
-            // so a sealed epoch still awaiting its committer must land
-            // first — the direct ±1s below describe a tree the views
-            // have not caught up to otherwise. The committer's later
-            // pass finds the slot empty and no-ops.
-            self.apply_submitted();
-        }
         match rule {
             Some((fired, bindings)) if self.can_inline(fired) => {
-                self.inlined_pre(ast, old_root, fired, bindings)
+                self.inlined_phase(ast, old_root, fired, Side::Pre(bindings))
             }
             _ => self.generic_phase(ast, old_root, -1),
         }
@@ -360,7 +259,8 @@ impl MatchCore for TreeToasterEngine {
     fn after_replace(&mut self, ast: &Ast, ctx: &ReplaceCtx<'_>) {
         match &ctx.rule {
             Some(fired) if self.can_inline(fired.rule) => {
-                self.inlined_post(ast, ctx.new_root, fired.rule, &fired.applied.gen_nodes);
+                let side = Side::Post(&fired.applied.gen_nodes);
+                self.inlined_phase(ast, ctx.new_root, fired.rule, side);
             }
             _ => self.generic_phase(ast, ctx.new_root, 1),
         }
@@ -371,33 +271,23 @@ impl MatchCore for TreeToasterEngine {
     }
 
     fn on_graft(&mut self, ast: &Ast, created: &[NodeId]) {
-        if self.batch.is_none() {
-            // Same ordering rule as `before_replace`: land any sealed
-            // epoch before mutating the views directly.
-            self.apply_submitted();
-        }
         let Self {
             rules,
             views,
-            batch,
+            epochs,
             scratch,
             ..
         } = self;
         let auto = rules.automaton();
         for &n in created {
             auto.run_at(ast, n, scratch, &mut |id, _| {
-                Self::stage_into(batch, views, id, n, 1);
+                epochs.stage(views, id, n, 1);
             });
         }
     }
 
     fn check_consistent(&self, ast: &Ast) -> Result<(), String> {
-        if self.batch.as_ref().is_some_and(|b| !b.is_empty()) {
-            return Err("engine has staged deltas in an open batch".into());
-        }
-        if self.sealed.as_ref().is_some_and(|b| !b.is_empty()) {
-            return Err("engine has a sealed epoch awaiting its committer".into());
-        }
+        self.epochs.check_landed("engine")?;
         self.check_views_correct(ast)
     }
 
@@ -406,9 +296,7 @@ impl MatchCore for TreeToasterEngine {
             .iter()
             .map(MatchView::memory_bytes)
             .sum::<usize>()
-            + self.batch.as_ref().map_or(0, DeltaBuffer::memory_bytes)
-            + self.sealed.as_ref().map_or(0, DeltaBuffer::memory_bytes)
-            + self.spare.as_ref().map_or(0, DeltaBuffer::memory_bytes)
+            + self.epochs.memory_bytes()
     }
 
     fn match_heat(&self) -> usize {
@@ -421,76 +309,23 @@ impl MatchCore for TreeToasterEngine {
 
 impl EpochOps for TreeToasterEngine {
     fn begin_batch(&mut self) {
-        if self.batch.is_none() {
-            let buffer = match self.spare.take() {
-                Some(mut spare) if spare.view_count() == self.views.len() => {
-                    spare.reset();
-                    spare
-                }
-                _ => DeltaBuffer::new(self.views.len()),
-            };
-            self.batch = Some(buffer);
-        }
-    }
-
-    fn commit_batch(&mut self) {
-        // Epochs apply in submission order: a sealed epoch always lands
-        // before the one committing now.
-        self.apply_submitted();
-        if let Some(mut buffer) = self.batch.take() {
-            buffer.drain_into(&mut self.views);
-            #[cfg(debug_assertions)]
-            for v in &self.views {
-                debug_assert!(v.check_consistent().is_ok(), "view corrupted by commit");
-            }
-            // Park the drained buffer: its pages serve the next epoch.
-            self.spare = Some(buffer);
-        }
+        self.epochs.begin();
     }
 
     fn submit_commit(&mut self) -> bool {
-        let Some(buffer) = self.batch.take() else {
-            return false;
-        };
-        // Bounded backpressure: at most one epoch in flight. A second
-        // submit before the committer ran applies the old seal inline.
-        self.apply_submitted();
-        if buffer.is_empty() {
-            // Nothing staged: close the epoch without occupying the
-            // sealed slot, so the committer is never fed a no-op.
-            self.spare = Some(buffer);
-            return false;
-        }
-        self.sealed = Some(buffer);
-        true
+        self.epochs.seal(&mut self.views)
     }
 
     fn apply_submitted(&mut self) -> bool {
-        let Some(mut sealed) = self.sealed.take() else {
-            return false;
-        };
-        sealed.drain_into(&mut self.views);
-        #[cfg(debug_assertions)]
-        for v in &self.views {
-            debug_assert!(v.check_consistent().is_ok(), "view corrupted by commit");
-        }
-        self.spare = Some(sealed);
-        true
+        self.epochs.land(&mut self.views)
     }
 
     fn has_submitted(&self) -> bool {
-        self.sealed.is_some()
+        self.epochs.has_sealed()
     }
 
     fn batch_cancellation(&self) -> Option<(u64, u64)> {
-        // The open epoch's buffer if one exists; otherwise the drained
-        // buffer parked in `spare`, whose counters still describe the
-        // last committed epoch (reset happens at the next begin).
-        self.batch
-            .as_ref()
-            .or(self.sealed.as_ref())
-            .or(self.spare.as_ref())
-            .map(|b| (b.staged(), b.canceled()))
+        self.epochs.stats()
     }
 }
 
@@ -781,7 +616,7 @@ mod tests {
             .find_one(&ast, 0)
             .expect("overlay exposes the new AddZero match mid-epoch");
         fire(&mut engine, &mut ast, 0, site);
-        let (staged, canceled) = engine.batch_stats().unwrap();
+        let (staged, canceled) = engine.batch_cancellation().unwrap();
         assert!(staged >= 2);
         assert!(
             canceled >= 2,
@@ -815,7 +650,7 @@ mod tests {
         let after_first = engine.memory_bytes();
         engine.begin_batch();
         assert_eq!(
-            engine.batch_stats(),
+            engine.batch_cancellation(),
             Some((0, 0)),
             "recycled buffer starts the epoch with fresh counters"
         );

@@ -21,10 +21,13 @@
 //! - [`strategy`] — the `MatchSource` abstraction shared by every search
 //!   strategy in the paper's evaluation (Naive, Index, Classic, DBT, TT),
 //!   with the Naive and Label-Index baselines implemented here.
-//! - [`batch`] — epoch/transactional maintenance: a [`DeltaBuffer`]
-//!   accumulates ± view deltas across a rewrite burst and cancels
-//!   opposing entries before they ever touch a `MatchView`
-//!   (single-rewrite maintenance is the degenerate one-delta epoch).
+//! - [`batch`] — epoch/transactional maintenance: one [`Epochs`]
+//!   pipeline stages ± deltas as one `tt_ast::ZSet` per view (or per
+//!   label, for the Index baseline), cancels opposing entries before
+//!   they touch the maintained structure, and commits by sealing the
+//!   epoch and landing it (a synchronous commit is the pipeline with
+//!   zero lag; single-rewrite maintenance is the degenerate one-delta
+//!   epoch).
 //! - [`config`] — the typed [`EngineConfig`]/[`FleetConfig`] builders;
 //!   the one place `TT_*` environment knobs are parsed.
 
@@ -37,7 +40,7 @@ pub mod rules;
 pub mod strategy;
 pub mod view;
 
-pub use batch::DeltaBuffer;
+pub use batch::{Epochs, Integral, Overlay};
 pub use config::{env_u64, EngineConfig, FleetConfig};
 pub use engine::TreeToasterEngine;
 pub use generator::{AttrGen, GenCtx, GenNode, GenPath};

@@ -13,11 +13,12 @@
 //! TreeToaster exploits the structural replace and — for declarative
 //! rules — the compile-time inlined plan (`RuleFired`).
 
+use crate::batch::{Epochs, Integral};
 use crate::rules::{AppliedRewrite, RuleSet};
 use std::sync::Arc;
-use tt_ast::{Ast, Label, NodeId, NodeLabelMap};
+use tt_ast::{Ast, Label, NodeId, ZSet};
 use tt_labelindex::LabelIndex;
-use tt_pattern::{AutomatonScratch, Bindings, PatternNode};
+use tt_pattern::{AutomatonScratch, Bindings};
 
 /// Index of a rewrite rule within the shared [`RuleSet`].
 pub type RuleId = usize;
@@ -120,83 +121,66 @@ pub trait MatchCore: Send {
 }
 
 /// The epoch (transactional maintenance) protocol — the other half of
-/// the [`MatchSource`] split. Every method has a correct default for
-/// strategies that stage nothing, so a stateless [`MatchCore`] impl
-/// plus an empty `impl EpochOps for …` block is a complete strategy.
-///
-/// Consumers that *drive* epochs (the batched bench drivers, the commit
-/// pipeline, the service daemon's tick path) bound on `EpochOps`;
-/// consumers that only search bound on [`MatchCore`].
+/// the [`MatchSource`] split. Every method defaults to "nothing staged",
+/// so a stateless [`MatchCore`] impl plus an empty `impl EpochOps for …`
+/// block is a complete strategy. Consumers that *drive* epochs (the
+/// bench drivers, the commit pipeline, the daemon's tick path) bound on
+/// `EpochOps`; consumers that only search bound on [`MatchCore`].
 pub trait EpochOps {
-    /// Opens a maintenance epoch: until [`commit_batch`], notifications
-    /// (`before_replace`/`after_replace`/`on_graft`) may be *staged*
-    /// instead of applied, so opposing deltas from overlapping rewrites
-    /// cancel before ever touching the strategy's structures.
-    ///
-    /// Default: no-op, so single-rewrite maintenance is the degenerate
-    /// K=1 case and stateless strategies need no change. Inside an open
-    /// epoch, `find_one` must still answer correctly — either through an
-    /// overlay over pending deltas (TreeToaster) or by reconciling on
-    /// read (the bolt-on engines, which can only consume their flat
-    /// node-event stream). Opening an already-open epoch is a no-op.
-    ///
-    /// [`commit_batch`]: EpochOps::commit_batch
+    /// Opens a maintenance epoch (a no-op if one is open): until it
+    /// closes, notifications may be *staged* instead of applied, so
+    /// opposing deltas from overlapping rewrites cancel before touching
+    /// the strategy's structures. `find_one` must still answer
+    /// correctly inside an epoch — through an overlay over the pending
+    /// deltas (TreeToaster, Index) or by reconciling on read (the
+    /// bolt-ons, which can only replay their node-event stream).
     fn begin_batch(&mut self) {}
 
-    /// Closes the current maintenance epoch, applying every surviving
-    /// net delta. A commit with no open epoch is a no-op.
-    fn commit_batch(&mut self) {}
+    /// Closes the open epoch, applying every surviving net delta (a
+    /// no-op with no epoch open). A commit is the pipeline with zero
+    /// lag — seal, then land at once — so strategies implement only the
+    /// two halves.
+    fn commit_batch(&mut self) {
+        self.submit_commit();
+        self.apply_submitted();
+    }
 
-    /// Seals the open epoch for **deferred** application: surviving net
-    /// deltas move into a sealed slot, the epoch closes, and a later
-    /// [`apply_submitted`] — typically on a background committer thread,
-    /// under the same lock as every other access — applies them. Until
-    /// then `find_one` must keep answering correctly with the sealed
-    /// deltas in place: strategies with an overlay extend it to
-    /// `structures ⊕ sealed ⊕ open batch`, while the bolt-on engines
-    /// reconcile on read as always (a read may therefore apply the
-    /// sealed epoch early, which is safe — application is idempotent
-    /// per epoch and ordered per shard).
-    ///
-    /// At most one epoch may be sealed at a time; sealing while a
-    /// previous seal awaits its committer applies the old seal inline
-    /// first (bounded backpressure). Returns `true` when an epoch was
-    /// sealed for deferred application; the default falls back to a
-    /// synchronous [`commit_batch`] and returns `false`, so strategies
-    /// without a deferred path (and stateless ones) stay correct under
-    /// an asynchronous deployment.
+    /// Seals the open epoch for **deferred** application: its surviving
+    /// net deltas move into the one sealed slot, and a later
+    /// [`apply_submitted`] — typically a background committer, under the
+    /// same lock as every other access — lands them. Reads keep
+    /// answering correctly meanwhile (through `structures ⊕ sealed ⊕
+    /// open`, or a bolt-on read that lands the seal early: landing is
+    /// idempotent per epoch and ordered per shard). Sealing while an
+    /// older seal waits lands the older one first (bounded
+    /// backpressure). Returns `true` when an epoch was sealed; the
+    /// default has nothing to seal.
     ///
     /// [`apply_submitted`]: EpochOps::apply_submitted
-    /// [`commit_batch`]: EpochOps::commit_batch
     fn submit_commit(&mut self) -> bool {
-        self.commit_batch();
         false
     }
 
-    /// Applies the sealed epoch from [`submit_commit`], if one is
-    /// pending — the committer's half of the pipeline. Returns whether
-    /// anything was applied. Default: nothing is ever sealed.
+    /// Lands the sealed epoch from [`submit_commit`], if one is pending
+    /// — the committer's half. Returns whether anything landed.
     ///
     /// [`submit_commit`]: EpochOps::submit_commit
     fn apply_submitted(&mut self) -> bool {
         false
     }
 
-    /// True while a sealed epoch awaits [`apply_submitted`]. Quiescence
-    /// probes must treat this as pending work: the strategy's structures
-    /// have not yet reached their post-commit state. Default: never.
+    /// True while a sealed epoch awaits [`apply_submitted`]: quiescence
+    /// probes must count it as pending work.
     ///
     /// [`apply_submitted`]: EpochOps::apply_submitted
     fn has_submitted(&self) -> bool {
         false
     }
 
-    /// `(staged, canceled)` delta counters of the open — or, after a
-    /// commit, the most recently committed — maintenance epoch.
-    /// `canceled` counts staged deltas that annihilated against an
-    /// opposing entry before touching any structure — churn the views
-    /// never see (the daemon's session stats report it). Default:
-    /// `None`, for strategies that stage nothing.
+    /// `(staged, canceled)` delta counters of the open — or else the
+    /// most recently closed — epoch. `canceled` deltas annihilated
+    /// before touching any structure (the daemon's session stats report
+    /// them). `None` for strategies that stage nothing.
     fn batch_cancellation(&self) -> Option<(u64, u64)> {
         None
     }
@@ -349,8 +333,8 @@ impl MatchCore for NaiveStrategy {
     }
 }
 
-/// Stateless: every epoch method's default (no-op staging, synchronous
-/// fallback commit) is already correct.
+/// Stateless: every epoch method's default (nothing staged, nothing to
+/// seal or land) is already correct.
 impl EpochOps for NaiveStrategy {}
 
 // ---------------------------------------------------------------------------
@@ -363,23 +347,40 @@ impl EpochOps for NaiveStrategy {}
 pub struct IndexStrategy {
     rules: Arc<RuleSet>,
     index: LabelIndex,
-    /// Open-epoch staging: net ±1 per `(label, node)`, stored densely by
-    /// node; entries that cancel to zero never touch a posting list.
-    /// `None` = immediate.
-    batch: Option<NodeLabelMap<i64>>,
-    /// An epoch sealed by `submit_commit`, awaiting its background
-    /// committer (`apply_submitted`). Reads overlay it exactly like the
-    /// open batch; at most one epoch is ever sealed.
-    sealed: Option<NodeLabelMap<i64>>,
-    /// The previous epoch's drained staging map, kept so its dense pages
-    /// are reused by the next `begin_batch`.
-    spare: Option<NodeLabelMap<i64>>,
-    /// Node events staged in the current/most recent epoch.
-    staged: u64,
-    /// Staged events that annihilated against an opposing entry.
-    canceled: u64,
+    /// The epoch pipeline over the posting lists, one Z-set per label
+    /// (an arena slot freed under one label may be reused under another
+    /// inside an epoch): entries that cancel never touch a posting list.
+    /// Net weights stay within ±1, so they are `i32`s.
+    epochs: Epochs<i32>,
     /// Reusable DFS scratch for the compiled candidate re-checks.
     scratch: AutomatonScratch,
+}
+
+/// The posting lists: slot = label.
+impl Integral<i32> for LabelIndex {
+    #[inline]
+    fn add(&mut self, slot: usize, node: NodeId, weight: i32) {
+        let label = Label(slot as u16);
+        if weight > 0 {
+            self.insert(label, node)
+        } else {
+            self.remove(label, node)
+        }
+    }
+
+    fn land(&mut self, slot: usize, delta: &mut ZSet<i32>) {
+        // Removals before insertions, each in ascending id order: a
+        // deterministic posting-list order.
+        let label = Label(slot as u16);
+        for (id, d) in delta.iter().filter(|&(_, d)| d < 0) {
+            debug_assert_eq!(d, -1, "net index delta beyond ±1");
+            self.remove(label, id);
+        }
+        for (id, d) in delta.drain().filter(|&(_, d)| d > 0) {
+            debug_assert_eq!(d, 1, "net index delta beyond ±1");
+            self.insert(label, id);
+        }
+    }
 }
 
 impl IndexStrategy {
@@ -389,67 +390,8 @@ impl IndexStrategy {
         Self {
             rules,
             index: LabelIndex::new(ast.schema()),
-            batch: None,
-            sealed: None,
-            spare: None,
-            staged: 0,
-            canceled: 0,
+            epochs: Epochs::new(ast.schema().label_count()),
             scratch: AutomatonScratch::default(),
-        }
-    }
-
-    /// One candidate found through the posting lists
-    /// ([`LabelIndex::lookup_where`], restricted to `live` entries),
-    /// re-checked with the searched rule's straight-line automaton
-    /// program.
-    fn lookup_where(
-        rules: &RuleSet,
-        index: &LabelIndex,
-        scratch: &mut AutomatonScratch,
-        ast: &Ast,
-        rule: RuleId,
-        live: impl Fn(Label, NodeId) -> bool,
-    ) -> Option<NodeId> {
-        let auto = rules.automaton();
-        index.lookup_where(ast, rules.get(rule).pattern.root_label(), live, |n| {
-            auto.run_rule(ast, n, rule, scratch)
-        })
-    }
-
-    /// Drains one epoch's surviving net deltas into the posting lists
-    /// and parks the emptied map for page reuse.
-    fn apply_epoch(&mut self, mut pending: NodeLabelMap<i64>) {
-        // Sorted for deterministic posting-list order; removals first so
-        // a same-id label change never double-occupies a bucket slot.
-        let mut entries: Vec<((Label, NodeId), i64)> = pending.drain().collect();
-        entries.sort_unstable_by_key(|&((label, id), _)| (label.0, id));
-        for &((label, id), d) in entries.iter().filter(|(_, d)| *d < 0) {
-            debug_assert_eq!(d, -1, "net index delta beyond ±1");
-            self.index.remove(label, id);
-        }
-        for &((label, id), d) in entries.iter().filter(|(_, d)| *d > 0) {
-            debug_assert_eq!(d, 1, "net index delta beyond ±1");
-            self.index.insert(label, id);
-        }
-        self.spare = Some(pending);
-    }
-
-    /// Routes one node event through the open epoch (or straight into
-    /// the index when none is open).
-    fn stage(&mut self, label: Label, id: NodeId, delta: i64) {
-        match &mut self.batch {
-            Some(pending) => {
-                self.staged += 1;
-                let entry = pending.get_or_insert_with(label, id, || 0);
-                *entry += delta;
-                if *entry == 0 {
-                    pending.remove(label, id);
-                    // This event and the one it annihilated.
-                    self.canceled += 2;
-                }
-            }
-            None if delta > 0 => self.index.insert(label, id),
-            None => self.index.remove(label, id),
         }
     }
 }
@@ -461,75 +403,34 @@ impl MatchCore for IndexStrategy {
 
     fn rebuild(&mut self, ast: &Ast) {
         self.index = LabelIndex::build_from(ast, ast.root());
-        if let Some(pending) = &mut self.batch {
-            pending.clear();
-        }
-        self.sealed = None;
+        self.epochs.reset();
     }
 
     fn find_one(&mut self, ast: &Ast, rule: RuleId) -> Option<NodeId> {
         let Self {
             rules,
             index,
-            batch,
-            sealed,
+            epochs,
             scratch,
-            ..
         } = self;
-        let (rules, index) = (&**rules, &*index);
-        let sealed = sealed.as_ref().filter(|p| !p.is_empty());
-        let open = batch.as_ref().filter(|p| !p.is_empty());
-        // Overlay over `index ⊕ sealed ⊕ batch`: indexed nodes whose net
-        // pending delta is negative are dead (their arena slots may
-        // already be reused), and a positive net delta marks a node the
-        // index has not absorbed yet — only net-zero nodes read straight
-        // from the posting lists.
-        let (first, second) = match (sealed, open) {
-            (None, None) => {
-                return Self::lookup_where(rules, index, scratch, ast, rule, |_, _| true)
-            }
-            // Single-buffer overlay — one probe per scanned posting-list
-            // member. This is the hot shape (a synchronous commit cycle
-            // never holds a sealed epoch), so it must not pay for the
-            // composed case.
-            (Some(p), None) | (None, Some(p)) => {
-                if let Some(n) = Self::lookup_where(rules, index, scratch, ast, rule, |label, n| {
-                    !p.contains(label, n)
-                }) {
-                    return Some(n);
-                }
-                let PatternNode::Match { label: root, .. } = rules.get(rule).pattern.root() else {
-                    return None;
-                };
-                return p
-                    .iter()
-                    .filter(|&((label, _), &d)| d > 0 && label == *root)
-                    .map(|((_, n), _)| n)
-                    .find(|&n| rules.automaton().run_rule(ast, n, rule, scratch));
-            }
-            (Some(s), Some(o)) => (s, o),
+        let auto = rules.automaton();
+        let root = rules.get(rule).pattern.root_label();
+        let mut matches = |n| auto.run_rule(ast, n, rule, scratch);
+        // `index ⊕ sealed ⊕ open` for the root label: a negative net
+        // delta marks a dead node (its arena slot may be reused), a
+        // positive one a node the index has not absorbed yet. An
+        // `AnyNode` root checks only the AST root and needs no overlay.
+        let overlay = root.map(|label| epochs.overlay(label.0 as usize));
+        let Some(overlay) = overlay.filter(|o| !o.is_clean()) else {
+            return index.lookup_where(ast, root, |_, _| true, &mut matches);
         };
-        let delta = |label: Label, n: NodeId| {
-            first.get(label, n).copied().unwrap_or(0) + second.get(label, n).copied().unwrap_or(0)
-        };
-        if let Some(n) = Self::lookup_where(rules, index, scratch, ast, rule, |label, n| {
-            delta(label, n) == 0
-        }) {
-            return Some(n);
-        }
-        // Nodes born inside the sealed or open epoch are not yet
-        // indexed, so check the staged insertions carrying the pattern's
-        // root label (net across both maps, so a node sealed as born but
-        // staged as dying stays invisible).
-        let PatternNode::Match { label: root, .. } = rules.get(rule).pattern.root() else {
-            return None;
-        };
-        [first, second]
-            .into_iter()
-            .flat_map(|pending| pending.iter())
-            .filter(|&((label, n), _)| label == *root && delta(label, n) > 0)
-            .map(|((_, n), _)| n)
-            .find(|&n| rules.automaton().run_rule(ast, n, rule, scratch))
+        index
+            .lookup_where(ast, root, |_, n| overlay.weight(n) == 0, &mut matches)
+            .or_else(|| {
+                overlay
+                    .touched()
+                    .find(|&n| overlay.weight(n) > 0 && matches(n))
+            })
     }
 
     fn before_replace(&mut self, _: &Ast, _: NodeId, _: Option<(RuleId, &Bindings)>) {
@@ -538,11 +439,12 @@ impl MatchCore for IndexStrategy {
     }
 
     fn after_replace(&mut self, ast: &Ast, ctx: &ReplaceCtx<'_>) {
+        let (epochs, index) = (&mut self.epochs, &mut self.index);
         for &(label, id) in ctx.removed {
-            self.stage(label, id, -1);
+            epochs.stage(index, label.0 as usize, id, -1);
         }
         for &n in ctx.inserted {
-            self.stage(ast.label(n), n, 1);
+            epochs.stage(index, ast.label(n).0 as usize, n, 1);
         }
         // The parent's label did not change; no index update needed for
         // `parent_update`.
@@ -550,17 +452,13 @@ impl MatchCore for IndexStrategy {
 
     fn on_graft(&mut self, ast: &Ast, created: &[NodeId]) {
         for &n in created {
-            self.stage(ast.label(n), n, 1);
+            self.epochs
+                .stage(&mut self.index, ast.label(n).0 as usize, n, 1);
         }
     }
 
     fn check_consistent(&self, ast: &Ast) -> Result<(), String> {
-        if self.batch.as_ref().is_some_and(|p| !p.is_empty()) {
-            return Err("label index has staged deltas in an open batch".into());
-        }
-        if self.sealed.as_ref().is_some_and(|p| !p.is_empty()) {
-            return Err("label index has a sealed epoch awaiting its committer".into());
-        }
+        self.epochs.check_landed("label index")?;
         let fresh = LabelIndex::build_from(ast, ast.root());
         for label in ast.schema().labels() {
             let mut mine: Vec<NodeId> = self.index.nodes(label).to_vec();
@@ -580,16 +478,13 @@ impl MatchCore for IndexStrategy {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.index.memory_bytes()
-            + self.batch.as_ref().map_or(0, NodeLabelMap::memory_bytes)
-            + self.sealed.as_ref().map_or(0, NodeLabelMap::memory_bytes)
-            + self.spare.as_ref().map_or(0, NodeLabelMap::memory_bytes)
+        self.index.memory_bytes() + self.epochs.memory_bytes()
     }
 
     fn match_heat(&self) -> usize {
         // The index holds *candidates*, not matches: posting-list length
         // under each rule's root label is the work `find_one` may have
-        // to wade through, plus whatever the open epoch staged.
+        // to wade through, plus whatever the epochs staged.
         let candidates: usize = self
             .rules
             .iter()
@@ -599,68 +494,29 @@ impl MatchCore for IndexStrategy {
                     .map_or(0, |label| self.index.len(label))
             })
             .sum();
-        candidates
-            + self.batch.as_ref().map_or(0, |b| b.len())
-            + self.sealed.as_ref().map_or(0, |b| b.len())
+        candidates + self.epochs.pending()
     }
 }
 
 impl EpochOps for IndexStrategy {
     fn begin_batch(&mut self) {
-        if self.batch.is_none() {
-            // Reuse the drained map from the last epoch (empty, pages
-            // allocated) rather than building a fresh one, and restart
-            // the per-epoch cancellation counters.
-            self.batch = Some(self.spare.take().unwrap_or_default());
-            self.staged = 0;
-            self.canceled = 0;
-        }
-    }
-
-    fn commit_batch(&mut self) {
-        // Epochs apply in submission order: a sealed epoch always
-        // precedes the one being committed now.
-        self.apply_submitted();
-        let Some(pending) = self.batch.take() else {
-            return;
-        };
-        self.apply_epoch(pending);
+        self.epochs.begin();
     }
 
     fn submit_commit(&mut self) -> bool {
-        let Some(pending) = self.batch.take() else {
-            return false;
-        };
-        // Bounded backpressure: at most one epoch in flight. A second
-        // submit before the committer ran applies the old seal inline.
-        self.apply_submitted();
-        if pending.is_empty() {
-            // Nothing staged: close the epoch without occupying the
-            // sealed slot, so the committer is never fed a no-op.
-            self.spare = Some(pending);
-            return false;
-        }
-        self.sealed = Some(pending);
-        true
+        self.epochs.seal(&mut self.index)
     }
 
     fn apply_submitted(&mut self) -> bool {
-        let Some(sealed) = self.sealed.take() else {
-            return false;
-        };
-        self.apply_epoch(sealed);
-        true
+        self.epochs.land(&mut self.index)
     }
 
     fn has_submitted(&self) -> bool {
-        self.sealed.is_some()
+        self.epochs.has_sealed()
     }
 
     fn batch_cancellation(&self) -> Option<(u64, u64)> {
-        // Counters persist after a commit (until the next begin), so
-        // callers can read the epoch just closed.
-        (self.batch.is_some() || self.sealed.is_some() || self.spare.is_some())
-            .then_some((self.staged, self.canceled))
+        self.epochs.stats()
     }
 }
 

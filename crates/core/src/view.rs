@@ -123,7 +123,7 @@ impl MatchView {
 
     /// Applies a batch of net multiplicity deltas in one pass — the
     /// commit side of epoch maintenance (see
-    /// [`DeltaBuffer`](crate::batch::DeltaBuffer)). Deltas arriving here
+    /// [`Epochs`](crate::batch::Epochs)). Deltas arriving here
     /// have already been coalesced, so every item touches the slot map
     /// at most once.
     pub fn apply_delta<I>(&mut self, deltas: I)

@@ -284,11 +284,6 @@ impl<P: JoinPlan> EpochOps for BoltOnIvm<P> {
         self.log.begin();
     }
 
-    fn commit_batch(&mut self) {
-        self.flush_pending();
-        self.log.end();
-    }
-
     fn submit_commit(&mut self) -> bool {
         // Appending preserves replay order even when the previous sealed
         // epoch is still in flight: the committer drains the whole vec
@@ -298,7 +293,11 @@ impl<P: JoinPlan> EpochOps for BoltOnIvm<P> {
         if pending.is_empty() {
             return false;
         }
-        self.sealed.extend(pending);
+        if self.sealed.is_empty() {
+            self.sealed = pending;
+        } else {
+            self.sealed.extend(pending);
+        }
         true
     }
 

@@ -14,7 +14,7 @@
 //!
 //! ## Crate map
 //!
-//! - [`ast`] — arena-based mutable ASTs, schemas, generalized multisets.
+//! - [`ast`] — arena-based mutable ASTs, schemas, Z-sets.
 //! - [`pattern`] — the pattern/constraint query grammars, their
 //!   semantics, the naive matcher, and the SQL reduction.
 //! - [`relational`] — the relational encoding bolt-on engines run on.
@@ -111,7 +111,7 @@ pub mod prelude {
         EngineConfig, EpochOps, FleetConfig, MatchCore, MatchSource, MatchView, ReplaceCtx,
         RewriteRule, RuleFired, RuleSet, TreeToasterEngine,
     };
-    pub use tt_ast::{Ast, GenMultiset, NodeId, Record, Schema, Value};
+    pub use tt_ast::{Ast, NodeId, Record, Schema, Value, ZSet};
     pub use tt_ivm::{ClassicIvm, DbtIvm};
     pub use tt_jitd::{AsyncJitd, Jitd, JitdIndex, RuleConfig, StrategyKind};
     pub use tt_labelindex::LabelIndex;

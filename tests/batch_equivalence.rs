@@ -143,3 +143,39 @@ fn empty_epochs_are_noops() {
         jitd.execute(&Op::Read { key: 3 });
     }
 }
+
+/// A rewrite outside any epoch must first land the sealed epoch still
+/// awaiting its committer: the rewrite's deltas describe a tree that
+/// already contains the sealed epoch's insertions. (In a fleet, a
+/// worker can reorganize a shard between its `submit_commit` and the
+/// next `begin_batch`.)
+#[test]
+fn out_of_epoch_rewrites_land_the_sealed_epoch_first() {
+    for strategy in StrategyKind::all() {
+        let records: Vec<Record> = (0..64).map(|k| Record::new(k, k)).collect();
+        let mut jitd = Jitd::new(strategy, RuleConfig { crack_threshold: 8 }, records);
+        jitd.reorganize_until_quiet(u64::MAX);
+        jitd.begin_batch();
+        for i in 0..40 {
+            jitd.execute(&Op::Insert {
+                key: 1_000 + i,
+                value: i,
+            });
+        }
+        jitd.submit_commit();
+        assert!(
+            jitd.reorganize_round() > 0,
+            "{}: the sealed inserts are rewritable",
+            strategy.label()
+        );
+        jitd.apply_submitted();
+        jitd.reorganize_until_quiet(u64::MAX);
+        jitd.check_strategy_consistent()
+            .unwrap_or_else(|e| panic!("{}: {e}", strategy.label()));
+        jitd.agreement_with_naive()
+            .unwrap_or_else(|e| panic!("{}: {e}", strategy.label()));
+        for i in 0..40 {
+            assert_eq!(jitd.index().get(1_000 + i), Some(i), "{}", strategy.label());
+        }
+    }
+}

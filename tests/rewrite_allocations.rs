@@ -1,11 +1,13 @@
 //! Heap allocations on the JITD hot path, counted by a global allocator.
 //!
 //! A read on a warm TreeToaster-maintained index must not allocate at
-//! all, and a fired push-down rewrite (search, apply, inlined view
+//! all, a fired push-down rewrite (search, apply, inlined view
 //! maintenance) allocates only the handful of small vectors the rewrite
-//! record itself carries. A regression that copies node rows or
-//! child/attribute vectors per rewrite shows up here as a count, long
-//! before it shows up in a latency figure.
+//! record itself carries, and a warm epoch commit (seal, then land)
+//! reuses the pages of the epoch before it. A regression that copies
+//! node rows or child/attribute vectors per rewrite, or collects an
+//! epoch before landing it, shows up here as a count, long before it
+//! shows up in a latency figure.
 //!
 //! The counter is per thread, so the test harness's other threads do
 //! not disturb a measurement.
@@ -62,11 +64,11 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 const RECORDS: i64 = 4_096;
 
-/// A TreeToaster runtime over the paper's rules whose root has been
-/// cracked into a `BinTree`, with a few hundred writes pushed down.
-fn warm_jitd() -> Jitd {
+/// A runtime over the paper's rules whose root has been cracked into a
+/// `BinTree`, with a few hundred writes pushed down.
+fn warm_jitd(kind: StrategyKind) -> Jitd {
     let records = (0..RECORDS).map(|k| Record::new(k * 2, k)).collect();
-    let mut jitd = Jitd::new(StrategyKind::TreeToaster, RuleConfig::default(), records);
+    let mut jitd = Jitd::new(kind, RuleConfig::default(), records);
     for i in 0..400 {
         jitd.execute(&Op::Insert {
             key: (i * 7919) % (RECORDS * 2),
@@ -81,7 +83,7 @@ fn warm_jitd() -> Jitd {
 
 #[test]
 fn warm_reads_allocate_nothing() {
-    let jitd = warm_jitd();
+    let jitd = warm_jitd(StrategyKind::TreeToaster);
     // Keys that hit the arrays, keys that miss, and keys the warm-up
     // wrote (some still above the arrays in Concat/Singleton nodes).
     let keys: Vec<i64> = (-3..RECORDS * 2 + 3).step_by(13).collect();
@@ -110,7 +112,7 @@ const SAMPLE_GROWTH: u64 = 3;
 
 #[test]
 fn a_push_down_rewrite_allocates_only_its_record() {
-    let mut jitd = warm_jitd();
+    let mut jitd = warm_jitd(StrategyKind::TreeToaster);
     let rules = jitd.rules().clone();
     let push_downs: Vec<usize> = ["PushDownSingletonBtreeLeft", "PushDownSingletonBtreeRight"]
         .iter()
@@ -150,4 +152,55 @@ fn a_push_down_rewrite_allocates_only_its_record() {
     );
     jitd.check_strategy_consistent().unwrap();
     jitd.agreement_with_naive().unwrap();
+}
+
+/// A commit grows the runtime's commit-latency sample vector now and
+/// then (it doubles).
+const COMMIT_SAMPLE_GROWTH: u64 = 1;
+
+#[test]
+fn a_warm_epoch_commit_allocates_nothing() {
+    for kind in [StrategyKind::TreeToaster, StrategyKind::Index] {
+        let mut jitd = warm_jitd(kind);
+        let mut counts = Vec::new();
+        // The first epochs allocate the Z-set pages every later epoch
+        // reuses; only the cycles after them are counted.
+        for epoch in 0..72i64 {
+            jitd.begin_batch();
+            for i in 0..4 {
+                let key = RECORDS * 2 + epoch * 4 + i;
+                jitd.execute(&Op::Insert { key, value: i });
+            }
+            jitd.reorganize_round();
+            let bytes = jitd.strategy_memory_bytes();
+            let (n, ()) = allocations(|| {
+                assert!(jitd.submit_commit(), "the epoch staged deltas");
+                assert!(jitd.apply_submitted());
+            });
+            // A landed node that is the first of its id range needs a
+            // new view or posting-list page, or a longer member list:
+            // that growth shows in the structure's bytes.
+            let grew = jitd.strategy_memory_bytes() > bytes;
+            if epoch >= 8 {
+                counts.push((n, grew));
+            }
+        }
+        let label = kind.label();
+        let mut sorted: Vec<u64> = counts.iter().map(|&(n, _)| n).collect();
+        sorted.sort_unstable();
+        assert_eq!(
+            sorted[sorted.len() / 2],
+            0,
+            "{label}: a warm commit allocated: {counts:?}"
+        );
+        for &(n, grew) in &counts {
+            assert!(
+                grew || n <= COMMIT_SAMPLE_GROWTH,
+                "{label}: a commit that grew no structure allocated {n} times: {counts:?}"
+            );
+        }
+        jitd.reorganize_until_quiet(u64::MAX);
+        jitd.check_strategy_consistent().unwrap();
+        jitd.agreement_with_naive().unwrap();
+    }
 }

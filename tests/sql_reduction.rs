@@ -119,17 +119,26 @@ proptest! {
         items_a in proptest::collection::vec((0u32..50, -3i64..3), 0..30),
         items_b in proptest::collection::vec((0u32..50, -3i64..3), 0..30),
     ) {
-        use treetoaster::ast::GenMultiset;
-        let a: GenMultiset = items_a.iter().map(|&(n, c)| (NodeId::from_index(n), c)).collect();
-        let b: GenMultiset = items_b.iter().map(|&(n, c)| (NodeId::from_index(n), c)).collect();
+        use treetoaster::ast::ZSet;
+        let a: ZSet = items_a.iter().map(|&(n, c)| (NodeId::from_index(n), c)).collect();
+        let b: ZSet = items_b.iter().map(|&(n, c)| (NodeId::from_index(n), c)).collect();
+        let sum = |x: &ZSet, y: &ZSet| {
+            let mut s = x.clone();
+            s += y;
+            s
+        };
         // Commutativity of ⊕.
-        prop_assert_eq!(a.union(&b), b.union(&a));
+        prop_assert_eq!(sum(&a, &b), sum(&b, &a));
         // a ⊕ b ⊖ b = a.
-        prop_assert_eq!(a.union(&b).difference(&b), a.clone());
+        let mut back = sum(&a, &b);
+        back -= &b;
+        prop_assert_eq!(back, a.clone());
         // a ⊖ a = ∅.
-        prop_assert!(a.difference(&a).is_empty());
-        // Support never contains zero multiplicities.
-        for (_, c) in a.union(&b).iter() {
+        let mut zero = a.clone();
+        zero -= &a;
+        prop_assert!(zero.is_empty());
+        // Support never contains zero weights.
+        for (_, c) in sum(&a, &b).iter() {
             prop_assert_ne!(c, 0);
         }
     }
