@@ -1,4 +1,5 @@
-//! Ablations beyond the paper's headline figures (DESIGN.md §8):
+//! Ablations beyond the paper's headline figures (docs/benching.md,
+//! "Where time is measured", says how each is timed):
 //!
 //! 1. **Inlining (§6.1)** — TreeToaster with the Algorithm-3 inlined
 //!    plans vs. the Definition-6 maximal-search-set path only.
@@ -18,7 +19,7 @@ use tt_bench::{env_u64, ExperimentConfig};
 use tt_jitd::{jitd_schema, paper_rules, JitdIndex, RuleConfig};
 use tt_metrics::{now_ns, Csv, Table};
 use tt_pattern::match_node;
-use tt_queryopt::catalyst::{optimize, SearchMode};
+use tt_queryopt::catalyst::{optimize_timed, SearchMode};
 use tt_queryopt::tpch;
 
 /// Runs a cracking session with a TreeToaster engine in the given mode,
@@ -137,7 +138,7 @@ fn main() {
         for q in 1..=22 {
             for rep in 0..reps {
                 let mut ast = tpch::build_query(q, cfg.seed + rep);
-                let bd = optimize(&mut ast, mode, 100);
+                let bd = optimize_timed(&mut ast, mode, 100);
                 s += bd.search_ns;
                 i += bd.ineffective_ns;
                 e += bd.effective_ns;

@@ -5,7 +5,7 @@
 
 use tt_bench::env_u64;
 use tt_metrics::{Csv, Table};
-use tt_queryopt::catalyst::{optimize, SearchMode};
+use tt_queryopt::catalyst::{optimize_timed, SearchMode};
 use tt_queryopt::tpch;
 
 fn main() {
@@ -39,7 +39,7 @@ fn main() {
         let mut best: Option<(u64, u64, u64, u64)> = None;
         for _rep in 0..reps {
             let mut ast = tpch::build_query(q, seed);
-            let bd = optimize(&mut ast, SearchMode::NaiveScan, 100);
+            let bd = optimize_timed(&mut ast, SearchMode::NaiveScan, 100);
             let cand = (
                 bd.search_ns,
                 bd.ineffective_ns,

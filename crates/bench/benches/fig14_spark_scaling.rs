@@ -8,7 +8,7 @@
 use tt_bench::env_u64;
 use tt_metrics::{Csv, Table};
 use tt_queryopt::antipattern::{expected_size, union_doubling};
-use tt_queryopt::catalyst::{optimize, SearchMode};
+use tt_queryopt::catalyst::{optimize_timed, SearchMode};
 
 fn main() {
     let max_level = env_u64("TT_ANTIPATTERN_MAX", 6) as usize;
@@ -37,7 +37,7 @@ fn main() {
     // costs (allocator growth, instruction cache).
     {
         let mut warm = union_doubling(2);
-        let _ = optimize(&mut warm, SearchMode::NaiveScan, 60);
+        let _ = optimize_timed(&mut warm, SearchMode::NaiveScan, 60);
     }
     let reps = env_u64("TT_SCALING_REPS", 3);
     for level in 1..=max_level {
@@ -48,7 +48,7 @@ fn main() {
             let mut ast = union_doubling(level);
             size = ast.subtree_size(ast.root());
             assert_eq!(size, expected_size(level));
-            let candidate = optimize(&mut ast, SearchMode::NaiveScan, 60);
+            let candidate = optimize_timed(&mut ast, SearchMode::NaiveScan, 60);
             if best.is_none_or(|b| candidate.total_ns() < b.total_ns()) {
                 best = Some(candidate);
             }

@@ -8,7 +8,7 @@
 use tt_bench::env_u64;
 use tt_metrics::{Csv, Table};
 use tt_queryopt::antipattern::union_doubling;
-use tt_queryopt::orca::optimize_orca;
+use tt_queryopt::orca::optimize_orca_timed;
 
 fn main() {
     let max_level = env_u64("TT_ORCA_MAX", 5) as usize;
@@ -36,7 +36,7 @@ fn main() {
     ]);
     {
         let mut warm = union_doubling(2);
-        let _ = optimize_orca(&mut warm, u64::MAX);
+        let _ = optimize_orca_timed(&mut warm, u64::MAX);
     }
     let reps = env_u64("TT_SCALING_REPS", 3);
     for level in 1..=max_level {
@@ -45,7 +45,7 @@ fn main() {
         for _ in 0..reps {
             let mut ast = union_doubling(level);
             size = ast.subtree_size(ast.root());
-            let candidate = optimize_orca(&mut ast, u64::MAX);
+            let candidate = optimize_orca_timed(&mut ast, u64::MAX);
             if best.is_none_or(|b| candidate.total_ns() < b.total_ns()) {
                 best = Some(candidate);
             }

@@ -100,7 +100,8 @@ pub fn run_jitd(workload: char, strategy: StrategyKind, cfg: ExperimentConfig) -
             crack_threshold: cfg.crack_threshold,
         },
         records,
-    );
+    )
+    .timed();
     let mut driver = Workload::new(WorkloadSpec::standard(workload), cfg.records, cfg.seed);
     // Initial organization burst: crack the loaded array (every strategy
     // pays its own search costs here, as in the paper's load phase).
@@ -271,7 +272,8 @@ pub fn run_jitd_batched(
             crack_threshold: cfg.crack_threshold,
         },
         records,
-    );
+    )
+    .timed();
     let mut driver = Workload::new(WorkloadSpec::standard(workload), cfg.records, cfg.seed);
     // Load-phase organization happens outside the measured loop (all
     // strategies pay it identically; it has no batching axis to compare).
@@ -391,7 +393,8 @@ pub fn run_rule_scale(
         JitdIndex::load(records),
         true,
         strategy,
-    );
+    )
+    .timed();
     enum Driver {
         Single(Workload),
         Fleet(FleetWorkload),
@@ -493,7 +496,7 @@ fn build_fleet(
             let part = (0..records_per_tree as i64)
                 .map(|k| Record::new(k, k.wrapping_mul(7) ^ t as i64))
                 .collect();
-            Jitd::with_rules(strategy, rules.clone(), part)
+            Jitd::with_rules(strategy, rules.clone(), part).timed()
         })
         .collect();
     AsyncJitd::spawn(shards, steal, commit)

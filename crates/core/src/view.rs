@@ -175,7 +175,8 @@ impl MatchView {
 }
 
 /// An ordered alternative to [`MatchView`] backed by a `BTreeSet`,
-/// for the view-structure ablation (DESIGN.md §8): `any()` returns the
+/// for the view-structure ablation (`benches/ablations.rs`, timed as
+/// docs/benching.md's "Where time is measured" says): `any()` returns the
 /// *smallest* matching node id deterministically, at O(log n) update and
 /// pop cost instead of O(1). The paper's §4 goal only asks for "a single,
 /// arbitrary element ... as quickly as possible", which the swap-remove

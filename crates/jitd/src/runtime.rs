@@ -5,6 +5,12 @@
 //! compares — measuring, per §7.2: (i) time spent finding a pattern
 //! match, (ii) time spent maintaining support structures, and
 //! (iii) memory allocated.
+//!
+//! A runtime always counts its work (steps, per-rule matches and
+//! rewrites, events per stream) but reads the clock only if built
+//! [`timed`](Jitd::timed): the figure harnesses ask for durations, while a
+//! served or benchmarked runtime that nobody times pays for no clock
+//! reads and keeps no latency samples.
 
 use crate::index::JitdIndex;
 use crate::rules::{paper_rules, RuleConfig};
@@ -16,7 +22,7 @@ use treetoaster_core::{
 };
 use tt_ast::Record;
 use tt_ivm::{ClassicIvm, DbtIvm};
-use tt_metrics::{now_ns, SummaryBuilder};
+use tt_metrics::{Clock, Latencies, SummaryBuilder};
 use tt_pattern::AutomatonScratch;
 use tt_ycsb::Op;
 
@@ -80,21 +86,23 @@ impl StrategyKind {
     }
 }
 
-/// Latency samples collected by the runtime, per §7.2's three axes.
+/// Work counters and latency streams, per §7.2's three axes. Every
+/// stream counts its events; only a [`timed`](Jitd::timed) runtime's
+/// streams also keep latencies.
 #[derive(Debug)]
 pub struct JitdStats {
-    /// Per rule: `find_one` latencies (Figure 9's search latency).
-    pub search_ns: Vec<SummaryBuilder>,
-    /// Per rule: subtree construction + pointer swap latencies.
-    pub rewrite_ns: Vec<SummaryBuilder>,
-    /// Per rule: view/index maintenance latencies around a rewrite.
-    pub maintain_ns: Vec<SummaryBuilder>,
+    /// Per rule: `find_one` calls (Figure 9's search latency).
+    pub search_ns: Vec<Latencies>,
+    /// Per rule: subtree construction + pointer swaps.
+    pub rewrite_ns: Vec<Latencies>,
+    /// Per rule: view/index maintenance around a rewrite.
+    pub maintain_ns: Vec<Latencies>,
     /// Maintenance triggered by database operations (graft events).
-    pub op_maintain_ns: SummaryBuilder,
-    /// End-to-end database operation latencies.
-    pub op_ns: SummaryBuilder,
-    /// Batch-commit latencies (`commit_batch` calls).
-    pub commit_ns: SummaryBuilder,
+    pub op_maintain_ns: Latencies,
+    /// End-to-end database operations.
+    pub op_ns: Latencies,
+    /// Epoch commits and seals (`commit_batch`, `submit_commit`).
+    pub commit_ns: Latencies,
     /// Per rule: how many `find_one` probes surfaced a match.
     pub rule_matches: Vec<u64>,
     /// Per rule: how many rewrites were actually applied.
@@ -104,14 +112,15 @@ pub struct JitdStats {
 }
 
 impl JitdStats {
-    pub(crate) fn new(rule_count: usize) -> JitdStats {
+    fn new(rule_count: usize, clock: Clock) -> JitdStats {
+        let streams = || (0..rule_count).map(|_| Latencies::new(clock)).collect();
         JitdStats {
-            search_ns: (0..rule_count).map(|_| SummaryBuilder::new()).collect(),
-            rewrite_ns: (0..rule_count).map(|_| SummaryBuilder::new()).collect(),
-            maintain_ns: (0..rule_count).map(|_| SummaryBuilder::new()).collect(),
-            op_maintain_ns: SummaryBuilder::new(),
-            op_ns: SummaryBuilder::new(),
-            commit_ns: SummaryBuilder::new(),
+            search_ns: streams(),
+            rewrite_ns: streams(),
+            maintain_ns: streams(),
+            op_maintain_ns: Latencies::new(clock),
+            op_ns: Latencies::new(clock),
+            commit_ns: Latencies::new(clock),
             rule_matches: vec![0; rule_count],
             rule_rewrites: vec![0; rule_count],
             steps: 0,
@@ -119,7 +128,7 @@ impl JitdStats {
     }
 
     /// All maintenance samples pooled (rewrite-driven plus op-driven) —
-    /// Figure 12's "IVM operational latency".
+    /// Figure 12's "IVM operational latency"; empty unless timed.
     pub fn all_maintenance_samples(&self) -> SummaryBuilder {
         let mut out = SummaryBuilder::new();
         for b in &self.maintain_ns {
@@ -139,12 +148,6 @@ impl JitdStats {
 pub struct StepOutcome {
     /// Whether a match was found and the rule applied.
     pub fired: bool,
-    /// Time spent in `find_one`.
-    pub search_ns: u64,
-    /// Time spent constructing/applying the replacement.
-    pub rewrite_ns: u64,
-    /// Time spent in strategy maintenance (before + after).
-    pub maintain_ns: u64,
 }
 
 /// The runtime: index + rules + one search strategy + instrumentation.
@@ -158,6 +161,8 @@ pub struct Jitd {
     /// it leaves are read in place, so a steady-state reorganization
     /// step allocates nothing outside the rewrite itself.
     scratch: AutomatonScratch,
+    /// Reads the wall clock only for a [`timed`](Jitd::timed) runtime.
+    clock: Clock,
     /// Collected measurements.
     pub stats: JitdStats,
 }
@@ -200,7 +205,7 @@ impl Jitd {
             "compiled must be true; kept for the benchmark's call site"
         );
         strategy.rebuild(index.ast());
-        let stats = JitdStats::new(rules.len());
+        let stats = JitdStats::new(rules.len(), Clock::Off);
         Jitd {
             index,
             rules,
@@ -208,8 +213,23 @@ impl Jitd {
             kind,
             tick: 0,
             scratch: AutomatonScratch::default(),
+            clock: Clock::Off,
             stats,
         }
+    }
+
+    /// The same fresh runtime, timed: every stream of
+    /// [`stats`](Jitd::stats) keeps one latency per event, read from the
+    /// wall clock. The figure harnesses build their runtimes this way; an
+    /// untimed runtime counts the same events and reads no clock.
+    pub fn timed(mut self) -> Jitd {
+        assert!(
+            self.stats.steps == 0 && self.stats.op_ns.is_empty(),
+            "a runtime is timed before it runs"
+        );
+        self.clock = Clock::Wall;
+        self.stats = JitdStats::new(self.rules.len(), Clock::Wall);
+        self
     }
 
     /// The underlying index.
@@ -228,9 +248,9 @@ impl Jitd {
     }
 
     /// Executes one YCSB operation, wrapping writes into the AST and
-    /// notifying the strategy (graft maintenance is timed).
+    /// notifying the strategy (graft maintenance is its own stream).
     pub fn execute(&mut self, op: &Op) {
-        let t0 = now_ns();
+        let t0 = self.clock.now();
         match *op {
             Op::Read { key } => {
                 std::hint::black_box(self.index.get(key));
@@ -245,59 +265,49 @@ impl Jitd {
                 // which is why its Figure 10 notes workload D (inserts
                 // only) has no delete operations while A/B/F do.
                 let created = self.index.wrap_delete(key);
-                let m0 = now_ns();
-                self.strategy.on_graft(self.index.ast(), &created);
-                self.stats.op_maintain_ns.push_u64(now_ns() - m0);
+                self.graft(&created);
                 let created = self.index.wrap_insert(key, value);
-                let m1 = now_ns();
-                self.strategy.on_graft(self.index.ast(), &created);
-                self.stats.op_maintain_ns.push_u64(now_ns() - m1);
+                self.graft(&created);
             }
             Op::Insert { key, value } => {
                 let created = self.index.wrap_insert(key, value);
-                let m0 = now_ns();
-                self.strategy.on_graft(self.index.ast(), &created);
-                self.stats.op_maintain_ns.push_u64(now_ns() - m0);
+                self.graft(&created);
             }
             Op::ReadModifyWrite { key, value } => {
                 // Read-modify-write = a read plus an update.
                 let prior = self.index.get(key).unwrap_or(0);
                 let created = self.index.wrap_delete(key);
-                let m0 = now_ns();
-                self.strategy.on_graft(self.index.ast(), &created);
-                self.stats.op_maintain_ns.push_u64(now_ns() - m0);
+                self.graft(&created);
                 let created = self.index.wrap_insert(key, value ^ prior);
-                let m1 = now_ns();
-                self.strategy.on_graft(self.index.ast(), &created);
-                self.stats.op_maintain_ns.push_u64(now_ns() - m1);
+                self.graft(&created);
             }
         }
-        self.stats.op_ns.push_u64(now_ns() - t0);
+        self.stats.op_ns.record(self.clock.since(t0));
+    }
+
+    /// Notifies the strategy of a graft, into `op_maintain_ns`.
+    fn graft(&mut self, created: &[tt_ast::NodeId]) {
+        let m0 = self.clock.now();
+        self.strategy.on_graft(self.index.ast(), created);
+        self.stats.op_maintain_ns.record(self.clock.since(m0));
     }
 
     /// Deletes a key (used by drivers that extend the YCSB mixes).
     pub fn delete(&mut self, key: i64) {
-        let t0 = now_ns();
+        let t0 = self.clock.now();
         let created = self.index.wrap_delete(key);
-        let m0 = now_ns();
-        self.strategy.on_graft(self.index.ast(), &created);
-        self.stats.op_maintain_ns.push_u64(now_ns() - m0);
-        self.stats.op_ns.push_u64(now_ns() - t0);
+        self.graft(&created);
+        self.stats.op_ns.record(self.clock.since(t0));
     }
 
     /// One optimizer iteration for `rule`: search, apply, maintain.
     pub fn reorganize_step(&mut self, rule: RuleId) -> StepOutcome {
-        let s0 = now_ns();
+        let clock = self.clock;
+        let s0 = clock.now();
         let site = self.strategy.find_one(self.index.ast(), rule);
-        let search_ns = now_ns() - s0;
-        self.stats.search_ns[rule].push_u64(search_ns);
+        self.stats.search_ns[rule].record(clock.since(s0));
         let Some(site) = site else {
-            return StepOutcome {
-                fired: false,
-                search_ns,
-                rewrite_ns: 0,
-                maintain_ns: 0,
-            };
+            return StepOutcome { fired: false };
         };
 
         self.stats.rule_matches[rule] += 1;
@@ -315,15 +325,15 @@ impl Jitd {
         );
         let bindings = self.scratch.bindings();
 
-        let m0 = now_ns();
+        let m0 = clock.now();
         self.strategy
             .before_replace(self.index.ast(), site, Some((rule, bindings)));
-        let pre_maintain = now_ns() - m0;
+        let pre_maintain = clock.since(m0);
 
-        let r0 = now_ns();
+        let r0 = clock.now();
         let applied = rule_def.apply(self.index.ast_mut(), site, bindings, self.tick);
         self.tick += 1;
-        let rewrite_ns = now_ns() - r0;
+        let rewrite_ns = clock.since(r0);
 
         let ctx = ReplaceCtx {
             old_root: applied.old_root,
@@ -337,20 +347,15 @@ impl Jitd {
                 applied: &applied,
             }),
         };
-        let m1 = now_ns();
+        let m1 = clock.now();
         self.strategy.after_replace(self.index.ast(), &ctx);
-        let maintain_ns = pre_maintain + (now_ns() - m1);
+        let maintain_ns = pre_maintain + clock.since(m1);
 
-        self.stats.rewrite_ns[rule].push_u64(rewrite_ns);
-        self.stats.maintain_ns[rule].push_u64(maintain_ns);
+        self.stats.rewrite_ns[rule].record(rewrite_ns);
+        self.stats.maintain_ns[rule].record(maintain_ns);
         self.stats.rule_rewrites[rule] += 1;
         self.stats.steps += 1;
-        StepOutcome {
-            fired: true,
-            search_ns,
-            rewrite_ns,
-            maintain_ns,
-        }
+        StepOutcome { fired: true }
     }
 
     /// True while any rule still has a match — the runtime holds
@@ -393,25 +398,25 @@ impl Jitd {
         self.strategy.begin_batch();
     }
 
-    /// Commits the open maintenance epoch, timing the flush into
+    /// Commits the open maintenance epoch, recording the flush in
     /// `stats.commit_ns` (kept separate from the staging-side
     /// maintenance streams so the two costs can be compared).
     pub fn commit_batch(&mut self) {
-        let t0 = now_ns();
+        let t0 = self.clock.now();
         self.strategy.commit_batch();
-        self.stats.commit_ns.push_u64(now_ns() - t0);
+        self.stats.commit_ns.record(self.clock.since(t0));
     }
 
     /// Seals the open maintenance epoch for a background committer
     /// instead of applying it inline ([`treetoaster_core::EpochOps::submit_commit`]):
-    /// only the seal itself is timed into `stats.commit_ns`, which is
-    /// the point — the apply cost moves to whoever later calls
+    /// only the seal itself goes into `stats.commit_ns`, which is the
+    /// point — the apply cost moves to whoever later calls
     /// [`apply_submitted`](Jitd::apply_submitted). Returns `true` if an
     /// epoch was actually sealed.
     pub fn submit_commit(&mut self) -> bool {
-        let t0 = now_ns();
+        let t0 = self.clock.now();
         let sealed = self.strategy.submit_commit();
-        self.stats.commit_ns.push_u64(now_ns() - t0);
+        self.stats.commit_ns.record(self.clock.since(t0));
         sealed
     }
 
@@ -566,7 +571,7 @@ mod tests {
         // Chunks of ops + a reorganization burst per epoch: after every
         // commit each strategy must equal a from-scratch rebuild.
         for kind in StrategyKind::all() {
-            let mut jitd = Jitd::new(kind, RuleConfig { crack_threshold: 8 }, records(96));
+            let mut jitd = Jitd::new(kind, RuleConfig { crack_threshold: 8 }, records(96)).timed();
             let mut workload = Workload::new(WorkloadSpec::standard('A'), 96, 7);
             let mut done = 0;
             while done < 48 {
@@ -582,7 +587,7 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{} inconsistent: {e}", kind.label()));
                 jitd.agreement_with_naive().unwrap();
             }
-            assert!(!jitd.stats.commit_ns.is_empty());
+            assert_eq!(jitd.stats.commit_ns.samples().len(), 6, "one per epoch");
             jitd.index.check_structure().unwrap();
         }
     }
@@ -659,10 +664,33 @@ mod tests {
 
     #[test]
     fn stats_are_recorded() {
+        let mut jitd = Jitd::new(
+            StrategyKind::TreeToaster,
+            RuleConfig { crack_threshold: 8 },
+            records(128),
+        )
+        .timed();
+        let mut workload = Workload::new(WorkloadSpec::standard('A'), 128, 99);
+        for _ in 0..60 {
+            jitd.execute(&workload.next_op());
+            jitd.reorganize_round();
+        }
+        let total_searches: usize = jitd.stats.search_ns.iter().map(|b| b.len()).sum();
+        let timed_searches: usize = jitd.stats.search_ns.iter().map(|b| b.samples().len()).sum();
+        assert!(total_searches > 0);
+        assert_eq!(timed_searches, total_searches, "one latency per find");
+        assert_eq!(jitd.stats.op_ns.samples().len(), 60);
+        assert!(!jitd.stats.all_maintenance_samples().is_empty());
+    }
+
+    #[test]
+    fn an_untimed_runtime_counts_without_samples() {
         let jitd = run_mixed(StrategyKind::TreeToaster);
         let total_searches: usize = jitd.stats.search_ns.iter().map(|b| b.len()).sum();
         assert!(total_searches > 0);
-        assert!(!jitd.stats.op_ns.is_empty());
-        assert!(!jitd.stats.all_maintenance_samples().is_empty());
+        assert_eq!(jitd.stats.op_ns.len(), 60);
+        assert!(jitd.stats.search_ns.iter().all(|b| b.samples().is_empty()));
+        assert!(jitd.stats.op_ns.samples().is_empty());
+        assert!(jitd.stats.all_maintenance_samples().is_empty());
     }
 }

@@ -4,8 +4,10 @@
 //! match, (ii) time spent maintaining support structures, and (iii) memory
 //! allocated. This crate provides the plumbing shared by every experiment:
 //!
-//! - [`time`]: monotonic nanosecond timers (the paper reports CPU ticks; we
-//!   report `Instant` nanoseconds — see DESIGN.md §3 for the substitution).
+//! - [`time`]: monotonic nanosecond timers and the [`Clock`] that
+//!   instrumented loops take, so they read no clock unless a caller asks
+//!   (the paper reports CPU ticks; we report `Instant` nanoseconds — see
+//!   docs/benching.md, "Where time is measured", for both choices).
 //! - [`stats`]: descriptive statistics (mean, quantiles, boxplot summaries).
 //! - [`memory`]: byte→page conversion and a `/proc/self/statm` probe
 //!   mirroring the paper's Linux `/proc` measurements.
@@ -22,6 +24,6 @@ pub mod time;
 
 pub use json::Json;
 pub use memory::{bytes_to_pages, statm_resident_pages, PAGE_BYTES};
-pub use stats::{Summary, SummaryBuilder};
+pub use stats::{Latencies, Summary, SummaryBuilder};
 pub use table::{Csv, Table};
-pub use time::{now_ns, Stopwatch};
+pub use time::{now_ns, Clock, Stopwatch};

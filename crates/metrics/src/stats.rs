@@ -6,6 +6,8 @@
 //! deviation, and the five-number summary (min, q1, median, q3, max) plus
 //! p95.
 
+use crate::time::Clock;
+
 /// Five-number summary plus mean/stddev/p95 over a set of `f64` samples.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
@@ -132,9 +134,74 @@ impl SummaryBuilder {
     }
 }
 
+/// A stream of timed events that always counts them and keeps their
+/// latencies only when built with a timed [`Clock`].
+///
+/// An untimed stream is a counter: recording never allocates, so a
+/// long-lived runtime that nobody measures does not grow per event.
+#[derive(Debug, Clone, Default)]
+pub struct Latencies {
+    events: u64,
+    timed: bool,
+    samples: SummaryBuilder,
+}
+
+impl Latencies {
+    /// An empty stream; it keeps samples only if `clock` is timed.
+    pub fn new(clock: Clock) -> Self {
+        Latencies {
+            timed: clock.is_timed(),
+            ..Self::default()
+        }
+    }
+
+    /// Counts one event, keeping `ns` as its latency if timed.
+    #[inline]
+    pub fn record(&mut self, ns: u64) {
+        self.events += 1;
+        if self.timed {
+            self.samples.push_u64(ns);
+        }
+    }
+
+    /// Events recorded, timed or not.
+    pub fn len(&self) -> usize {
+        self.events as usize
+    }
+
+    /// True if no event was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.events == 0
+    }
+
+    /// The kept latencies: one per event if timed, none otherwise.
+    pub fn samples(&self) -> &[f64] {
+        self.samples.samples()
+    }
+
+    /// Summary of the kept latencies (`None` if untimed or empty).
+    pub fn finish(&self) -> Option<Summary> {
+        self.samples.finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn untimed_latencies_count_without_samples() {
+        let mut off = Latencies::new(Clock::Off);
+        let mut wall = Latencies::new(Clock::Wall);
+        for ns in [3, 5, 7] {
+            off.record(ns);
+            wall.record(ns);
+        }
+        assert_eq!((off.len(), wall.len()), (3, 3));
+        assert!(off.samples().is_empty() && off.finish().is_none());
+        assert_eq!(wall.samples(), &[3.0, 5.0, 7.0]);
+        assert_eq!(wall.finish().unwrap().mean, 5.0);
+    }
 
     #[test]
     fn empty_input_yields_none() {

@@ -16,6 +16,11 @@
 //! Rules are compiled once, not per plan: an [`Optimizer`] owns both
 //! compiled forms for one schema, and [`optimize`] serves every plan
 //! built on [`plan_schema`] from one process-wide `Optimizer`.
+//!
+//! The phases are always counted and timed only on request: [`optimize`]
+//! reads no clock and reports 0 for every `*_ns` field, while
+//! [`optimize_timed`] runs the same loop with the wall clock on (the
+//! figure harnesses' entry point).
 
 use crate::orca::OrcaBreakdown;
 use crate::rules::{catalyst_rules, catalyst_ruleset, OptRule};
@@ -23,7 +28,7 @@ use crate::schema::plan_schema;
 use std::sync::{Arc, OnceLock};
 use treetoaster_core::{MatchCore, ReplaceCtx, RuleFired, RuleSet, TreeToasterEngine};
 use tt_ast::{Ast, Schema};
-use tt_metrics::now_ns;
+use tt_metrics::Clock;
 use tt_pattern::{match_node, TreeAttrs};
 
 /// How candidate nodes are found.
@@ -35,7 +40,8 @@ pub enum SearchMode {
     TreeToasterViews,
 }
 
-/// The Figure-1 time breakdown.
+/// The Figure-1 time breakdown. The `*_ns` fields are 0 unless the run
+/// was timed ([`optimize_timed`]); the counts are the same either way.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Breakdown {
     /// Pattern-match attempt time.
@@ -133,30 +139,67 @@ impl Optimizer {
         &self.folded
     }
 
-    /// Optimizes the plan in place until a fixpoint or `max_iterations`.
+    /// Optimizes the plan in place until a fixpoint or `max_iterations`,
+    /// untimed.
     pub fn optimize(&self, ast: &mut Ast, mode: SearchMode, max_iterations: usize) -> Breakdown {
+        self.optimize_with(ast, mode, max_iterations, Clock::Off)
+    }
+
+    /// [`optimize`](Optimizer::optimize), timing each phase with `clock`.
+    pub(crate) fn optimize_with(
+        &self,
+        ast: &mut Ast,
+        mode: SearchMode,
+        max_iterations: usize,
+        clock: Clock,
+    ) -> Breakdown {
         match mode {
-            SearchMode::NaiveScan => optimize_naive(ast, &self.unfolded, max_iterations),
-            SearchMode::TreeToasterViews => optimize_tt(ast, &self.folded, max_iterations),
+            SearchMode::NaiveScan => optimize_naive(ast, &self.unfolded, max_iterations, clock),
+            SearchMode::TreeToasterViews => optimize_tt(ast, &self.folded, max_iterations, clock),
         }
     }
 
     /// Runs the Orca-style driver over the unfolded rules to quiescence
-    /// (or `max_tasks`).
+    /// (or `max_tasks`), untimed.
     pub fn optimize_orca(&self, ast: &mut Ast, max_tasks: u64) -> OrcaBreakdown {
-        crate::orca::run(ast, &self.unfolded, max_tasks)
+        self.optimize_orca_with(ast, max_tasks, Clock::Off)
+    }
+
+    /// [`optimize_orca`](Optimizer::optimize_orca), timing each phase
+    /// with `clock`.
+    pub(crate) fn optimize_orca_with(
+        &self,
+        ast: &mut Ast,
+        max_tasks: u64,
+        clock: Clock,
+    ) -> OrcaBreakdown {
+        crate::orca::run(ast, &self.unfolded, max_tasks, clock)
     }
 }
 
 /// Optimizes the plan in place until a fixpoint or `max_iterations`,
 /// with the rules compiled once for the plan's schema
-/// ([`Optimizer::with`]).
+/// ([`Optimizer::with`]). Untimed: every `*_ns` field reads 0.
 pub fn optimize(ast: &mut Ast, mode: SearchMode, max_iterations: usize) -> Breakdown {
     let schema = ast.schema().clone();
     Optimizer::with(&schema, |opt| opt.optimize(ast, mode, max_iterations))
 }
 
-fn optimize_naive(ast: &mut Ast, rules: &[OptRule], max_iterations: usize) -> Breakdown {
+/// [`optimize`] with the wall clock on: the same rewrites and counts,
+/// plus the Figure-1 phase times.
+pub fn optimize_timed(ast: &mut Ast, mode: SearchMode, max_iterations: usize) -> Breakdown {
+    let schema = ast.schema().clone();
+    Optimizer::with(&schema, |opt| {
+        opt.optimize_with(ast, mode, max_iterations, Clock::Wall)
+    })
+}
+
+fn optimize_naive(
+    ast: &mut Ast,
+    rules: &[OptRule],
+    max_iterations: usize,
+    clock: Clock,
+) -> Breakdown {
     let mut bd = Breakdown {
         initial_size: ast.subtree_size(ast.root()),
         ..Default::default()
@@ -167,17 +210,17 @@ fn optimize_naive(ast: &mut Ast, rules: &[OptRule], max_iterations: usize) -> Br
         // Outer fixpoint comparison: Catalyst `fastEquals`-compares the
         // plan before and after each batch run — an O(n) traversal, no
         // copying. A structural hash charges the same walk.
-        let f0 = now_ns();
+        let f0 = clock.now();
         let before = ast.structural_hash(ast.root());
-        bd.fixpoint_ns += now_ns() - f0;
+        bd.fixpoint_ns += clock.since(f0);
 
         for rule in rules {
-            transform_down(ast, rule, &mut tick, &mut bd);
+            transform_down(ast, rule, &mut tick, &mut bd, clock);
         }
 
-        let f1 = now_ns();
+        let f1 = clock.now();
         let unchanged = ast.structural_hash(ast.root()) == before;
-        bd.fixpoint_ns += now_ns() - f1;
+        bd.fixpoint_ns += clock.since(f1);
         if unchanged {
             break;
         }
@@ -190,12 +233,12 @@ fn optimize_naive(ast: &mut Ast, rules: &[OptRule], max_iterations: usize) -> Br
 /// (preorder); on a structural match run the precise check; apply or
 /// construct-and-discard accordingly; recurse into the children of
 /// whatever now occupies the position.
-fn transform_down(ast: &mut Ast, opt: &OptRule, tick: &mut u64, bd: &mut Breakdown) {
+fn transform_down(ast: &mut Ast, opt: &OptRule, tick: &mut u64, bd: &mut Breakdown, clock: Clock) {
     let mut stack = vec![ast.root()];
     while let Some(node) = stack.pop() {
-        let s0 = now_ns();
+        let s0 = clock.now();
         let matched = match_node(ast, node, &opt.rule.pattern);
-        bd.search_ns += now_ns() - s0;
+        bd.search_ns += clock.since(s0);
         bd.match_attempts += 1;
         match matched {
             None => stack.extend_from_slice(ast.children(node)),
@@ -203,19 +246,19 @@ fn transform_down(ast: &mut Ast, opt: &OptRule, tick: &mut u64, bd: &mut Breakdo
                 // The rule body's own semantic test (part of search cost:
                 // Catalyst evaluates it inside the case guard or at the
                 // top of the body).
-                let s1 = now_ns();
+                let s1 = clock.now();
                 let effective = opt.precise.as_ref().is_none_or(|c| {
                     c.eval(&TreeAttrs {
                         ast,
                         bindings: &bindings,
                     })
                 });
-                bd.search_ns += now_ns() - s1;
+                bd.search_ns += clock.since(s1);
                 if effective {
-                    let e0 = now_ns();
+                    let e0 = clock.now();
                     let applied = opt.rule.apply(ast, node, &bindings, *tick);
                     *tick += 1;
-                    bd.effective_ns += now_ns() - e0;
+                    bd.effective_ns += clock.since(e0);
                     bd.effective_count += 1;
                     stack.extend_from_slice(ast.children(applied.new_root));
                 } else {
@@ -225,7 +268,7 @@ fn transform_down(ast: &mut Ast, opt: &OptRule, tick: &mut u64, bd: &mut Breakdo
                     // the result is unusable. Charge the equivalent:
                     // one fresh node per matched position, compared and
                     // discarded.
-                    let i0 = now_ns();
+                    let i0 = clock.now();
                     let mut scratch = Vec::with_capacity(bindings.len());
                     for (_, bound) in bindings.iter() {
                         let label = ast.label(bound);
@@ -242,7 +285,7 @@ fn transform_down(ast: &mut Ast, opt: &OptRule, tick: &mut u64, bd: &mut Breakdo
                     for n in scratch {
                         ast.free_subtree(n);
                     }
-                    bd.ineffective_ns += now_ns() - i0;
+                    bd.ineffective_ns += clock.since(i0);
                     bd.ineffective_count += 1;
                     stack.extend_from_slice(ast.children(node));
                 }
@@ -251,16 +294,21 @@ fn transform_down(ast: &mut Ast, opt: &OptRule, tick: &mut u64, bd: &mut Breakdo
     }
 }
 
-fn optimize_tt(ast: &mut Ast, rules: &Arc<RuleSet>, max_iterations: usize) -> Breakdown {
+fn optimize_tt(
+    ast: &mut Ast,
+    rules: &Arc<RuleSet>,
+    max_iterations: usize,
+    clock: Clock,
+) -> Breakdown {
     let mut engine = TreeToasterEngine::new(rules.clone());
     let mut bd = Breakdown {
         initial_size: ast.subtree_size(ast.root()),
         ..Default::default()
     };
 
-    let m0 = now_ns();
+    let m0 = clock.now();
     engine.rebuild(ast);
-    bd.maintain_ns += now_ns() - m0;
+    bd.maintain_ns += clock.since(m0);
 
     let mut tick = 0u64;
     for _ in 0..max_iterations {
@@ -268,25 +316,25 @@ fn optimize_tt(ast: &mut Ast, rules: &Arc<RuleSet>, max_iterations: usize) -> Br
         let mut changed = false;
         for (rid, rule) in rules.iter() {
             loop {
-                let s0 = now_ns();
+                let s0 = clock.now();
                 let site = engine.find_one(ast, rid);
-                bd.search_ns += now_ns() - s0;
+                bd.search_ns += clock.since(s0);
                 bd.match_attempts += 1;
                 let Some(site) = site else { break };
 
-                let e0 = now_ns();
+                let e0 = clock.now();
                 let bindings =
                     match_node(ast, site, &rule.pattern).expect("view returned a stale match");
-                bd.effective_ns += now_ns() - e0;
+                bd.effective_ns += clock.since(e0);
 
-                let m1 = now_ns();
+                let m1 = clock.now();
                 engine.before_replace(ast, site, Some((rid, &bindings)));
-                bd.maintain_ns += now_ns() - m1;
+                bd.maintain_ns += clock.since(m1);
 
-                let e1 = now_ns();
+                let e1 = clock.now();
                 let applied = rule.apply(ast, site, &bindings, tick);
                 tick += 1;
-                bd.effective_ns += now_ns() - e1;
+                bd.effective_ns += clock.since(e1);
                 bd.effective_count += 1;
 
                 let ctx = ReplaceCtx {
@@ -301,17 +349,17 @@ fn optimize_tt(ast: &mut Ast, rules: &Arc<RuleSet>, max_iterations: usize) -> Br
                         applied: &applied,
                     }),
                 };
-                let m2 = now_ns();
+                let m2 = clock.now();
                 engine.after_replace(ast, &ctx);
-                bd.maintain_ns += now_ns() - m2;
+                bd.maintain_ns += clock.since(m2);
                 changed = true;
             }
         }
         // Fixpoint test: with exact views, quiescence is "all views
         // empty" — no whole-plan comparison needed.
-        let f0 = now_ns();
+        let f0 = clock.now();
         let quiescent = (0..rules.len()).all(|rid| engine.view(rid).is_empty());
-        bd.fixpoint_ns += now_ns() - f0;
+        bd.fixpoint_ns += clock.since(f0);
         if quiescent || !changed {
             break;
         }
@@ -392,7 +440,7 @@ mod tests {
     fn tt_mode_has_no_ineffective_rewrites() {
         let mut ast = Ast::new(plan_schema());
         messy_plan(&mut ast);
-        let bd = optimize(&mut ast, SearchMode::TreeToasterViews, 50);
+        let bd = optimize_timed(&mut ast, SearchMode::TreeToasterViews, 50);
         assert_eq!(
             bd.ineffective_count, 0,
             "folded rules are always applicable"
@@ -404,7 +452,7 @@ mod tests {
     fn breakdown_totals_and_fractions() {
         let mut ast = Ast::new(plan_schema());
         messy_plan(&mut ast);
-        let bd = optimize(&mut ast, SearchMode::NaiveScan, 50);
+        let bd = optimize_timed(&mut ast, SearchMode::NaiveScan, 50);
         assert_eq!(
             bd.total_ns(),
             bd.search_ns + bd.ineffective_ns + bd.effective_ns + bd.fixpoint_ns + bd.maintain_ns
@@ -412,6 +460,18 @@ mod tests {
         let f = bd.search_fraction();
         assert!((0.0..=1.0).contains(&f));
         assert!(f > 0.0, "naive mode always searches");
+    }
+
+    #[test]
+    fn untimed_breakdowns_read_no_clock() {
+        for mode in [SearchMode::NaiveScan, SearchMode::TreeToasterViews] {
+            let mut ast = Ast::new(plan_schema());
+            messy_plan(&mut ast);
+            let bd = optimize(&mut ast, mode, 50);
+            assert_eq!(bd.total_ns(), 0, "{mode:?}: {bd:?}");
+            assert_eq!(bd.search_fraction(), 0.0);
+            assert!(bd.match_attempts > 0 && bd.effective_count > 0);
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! AST for rewrite candidates, constructing replacements that are then
 //! discarded (ineffective rewrites), constructing effective replacements,
 //! and comparing plans in the outer fixpoint loop. This crate rebuilds
-//! that experiment end to end (DESIGN.md §3 documents the substitution):
+//! that experiment end to end (docs/benching.md, "Where time is
+//! measured", documents the substitution; the optimizers count their work
+//! always and time it only on request):
 //!
 //! - [`schema`] — a Spark-`LogicalPlan`-shaped node schema (Appendix C).
 //! - [`rules`] — optimizer rules modeled on Appendix D's transforms
@@ -36,6 +38,6 @@ pub mod rules;
 pub mod schema;
 pub mod tpch;
 
-pub use catalyst::{optimize, Breakdown, Optimizer, SearchMode};
+pub use catalyst::{optimize, optimize_timed, Breakdown, Optimizer, SearchMode};
 pub use rules::{catalyst_rules, OptRule};
 pub use schema::{build_plan_schema, plan_schema, PlanLabels};

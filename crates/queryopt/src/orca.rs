@@ -19,10 +19,11 @@ use crate::catalyst::Optimizer;
 use crate::rules::OptRule;
 use std::collections::VecDeque;
 use tt_ast::{Ast, FxHashSet, NodeId};
-use tt_metrics::now_ns;
+use tt_metrics::Clock;
 use tt_pattern::{match_node, TreeAttrs};
 
-/// Time/work breakdown for an Orca-style run.
+/// Time/work breakdown for an Orca-style run. The `*_ns` fields are 0
+/// unless the run was timed ([`optimize_orca_timed`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OrcaBreakdown {
     /// Pattern-match + promise evaluation time.
@@ -68,15 +69,24 @@ fn subtree_hash(ast: &Ast, root: NodeId) -> u64 {
 
 /// Runs the Orca-style optimizer to quiescence (or `max_tasks`), with
 /// the unfolded rules compiled once for the plan's schema
-/// ([`Optimizer::with`]).
+/// ([`Optimizer::with`]). Untimed: every `*_ns` field reads 0.
 pub fn optimize_orca(ast: &mut Ast, max_tasks: u64) -> OrcaBreakdown {
     let schema = ast.schema().clone();
     Optimizer::with(&schema, |opt| opt.optimize_orca(ast, max_tasks))
 }
 
+/// [`optimize_orca`] with the wall clock on: the same rewrites and
+/// counts, plus the Figure-15 phase times.
+pub fn optimize_orca_timed(ast: &mut Ast, max_tasks: u64) -> OrcaBreakdown {
+    let schema = ast.schema().clone();
+    Optimizer::with(&schema, |opt| {
+        opt.optimize_orca_with(ast, max_tasks, Clock::Wall)
+    })
+}
+
 /// The Orca-style driver over the unfolded `rules`
-/// ([`Optimizer::optimize_orca`]).
-pub(crate) fn run(ast: &mut Ast, rules: &[OptRule], max_tasks: u64) -> OrcaBreakdown {
+/// (`Optimizer::optimize_orca_with`).
+pub(crate) fn run(ast: &mut Ast, rules: &[OptRule], max_tasks: u64, clock: Clock) -> OrcaBreakdown {
     let mut bd = OrcaBreakdown {
         initial_size: ast.subtree_size(ast.root()),
         ..Default::default()
@@ -84,12 +94,12 @@ pub(crate) fn run(ast: &mut Ast, rules: &[OptRule], max_tasks: u64) -> OrcaBreak
     let mut memo: FxHashSet<u64> = FxHashSet::default();
 
     // Initial memo population: Orca copies the input plan into the memo.
-    let m0 = now_ns();
+    let m0 = clock.now();
     for n in ast.descendants(ast.root()).collect::<Vec<_>>() {
         let h = subtree_hash(ast, n);
         memo.insert(h);
     }
-    bd.memo_ns += now_ns() - m0;
+    bd.memo_ns += clock.since(m0);
 
     // Seed: every (node, rule) pair.
     let mut queue: VecDeque<(NodeId, usize)> = VecDeque::new();
@@ -118,7 +128,7 @@ pub(crate) fn run(ast: &mut Ast, rules: &[OptRule], max_tasks: u64) -> OrcaBreak
         let opt = &rules[rid];
         // Pairwise recursive pattern/AST check + promise (Exfp), guarded
         // by the constant-time operator-id comparison.
-        let s0 = now_ns();
+        let s0 = clock.now();
         let label_ok = root_labels[rid].is_none_or(|l| ast.label(node) == l);
         let matched = if label_ok {
             match_node(ast, node, &opt.rule.pattern)
@@ -130,25 +140,25 @@ pub(crate) fn run(ast: &mut Ast, rules: &[OptRule], max_tasks: u64) -> OrcaBreak
                 .as_ref()
                 .is_none_or(|c| c.eval(&TreeAttrs { ast, bindings }))
         });
-        bd.search_ns += now_ns() - s0;
+        bd.search_ns += clock.since(s0);
 
         match (matched, verdict) {
             (Some(bindings), Some(true)) => {
                 // Binding extraction: Orca copies the matched expression
                 // out of the memo before handing it to the transform.
-                let e0 = now_ns();
+                let e0 = clock.now();
                 let extraction = ast.clone_subtree(node);
                 let applied = opt.rule.apply(ast, node, &bindings, tick);
                 ast.free_subtree(extraction);
                 tick += 1;
-                bd.effective_ns += now_ns() - e0;
+                bd.effective_ns += clock.since(e0);
                 bd.effective_count += 1;
 
                 // Memo bookkeeping: register the produced group and every
                 // new expression, then derive logical + statistics
                 // properties for the new region (two attribute walks —
                 // Orca's property derivation and stat promise machinery).
-                let m1 = now_ns();
+                let m1 = clock.now();
                 memo.insert(subtree_hash(ast, applied.new_root));
                 for &n in applied.inserted() {
                     memo.insert(subtree_hash(ast, n));
@@ -160,7 +170,7 @@ pub(crate) fn run(ast: &mut Ast, rules: &[OptRule], max_tasks: u64) -> OrcaBreak
                         }
                     }
                 }
-                bd.memo_ns += now_ns() - m1;
+                bd.memo_ns += clock.since(m1);
 
                 // Re-enqueue the touched region: the replacement, its new
                 // nodes, and the parent whose child pointer changed.
@@ -189,6 +199,7 @@ pub(crate) fn run(ast: &mut Ast, rules: &[OptRule], max_tasks: u64) -> OrcaBreak
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::antipattern::union_doubling;
     use crate::catalyst::{optimize, SearchMode};
     use crate::schema::{plan_schema, PlanBuilder};
 
@@ -230,36 +241,36 @@ mod tests {
 
     #[test]
     fn orca_search_share_is_lower_than_catalyst_on_large_plans() {
-        // Build a larger plan by chaining several messy blocks.
-        let build = |ast: &mut Ast| {
-            let mut b = PlanBuilder::new(ast);
-            let mut node = b.table(1, [1, 2, 3]);
-            for i in 0..40 {
-                node = b.filter(i, [1], node);
-                node = b.noop_project(node);
-            }
-            let root = b.sort(node);
-            ast.set_root(root);
-        };
-        let mut a = Ast::new(plan_schema());
-        build(&mut a);
-        let mut c = Ast::new(plan_schema());
-        build(&mut c);
-        let orca = optimize_orca(&mut a, 10_000_000);
-        let cat = optimize(&mut c, SearchMode::NaiveScan, 200);
-        assert!(
-            orca.search_fraction() < cat.search_fraction(),
-            "orca {} !< catalyst {}",
-            orca.search_fraction(),
-            cat.search_fraction()
-        );
+        // Search share in counts, on Figure 15's plans: the (node, rule)
+        // pairs each optimizer probes per rewrite candidate it surfaces.
+        // Catalyst sweeps every rule over every node of every pass; Orca
+        // seeds each pair once and re-enqueues only the region a rewrite
+        // touched, so it probes fewer pairs for the same candidates.
+        for level in [3, 4] {
+            let mut a = union_doubling(level);
+            let mut c = union_doubling(level);
+            let orca = optimize_orca(&mut a, 10_000_000);
+            let cat = optimize(&mut c, SearchMode::NaiveScan, 200);
+            let orca_candidates = orca.effective_count + orca.rejected_count;
+            let cat_candidates = cat.effective_count + cat.ineffective_count;
+            assert!(
+                orca.tasks * cat_candidates < cat.match_attempts * orca_candidates,
+                "level {level}: orca {} tasks per {orca_candidates} candidates, \
+                 catalyst {} attempts per {cat_candidates}",
+                orca.tasks,
+                cat.match_attempts
+            );
+            // Both optimizers meet the same candidates, so Orca also probes
+            // fewer pairs in total.
+            assert_eq!(orca_candidates, cat_candidates, "level {level}");
+        }
     }
 
     #[test]
     fn memo_time_is_nonzero() {
         let mut ast = Ast::new(plan_schema());
         messy_plan(&mut ast);
-        let bd = optimize_orca(&mut ast, 1_000_000);
+        let bd = optimize_orca_timed(&mut ast, 1_000_000);
         assert!(bd.memo_ns > 0);
         assert!(bd.tasks > 0);
     }

@@ -63,7 +63,8 @@ fn main() {
                 crack_threshold: 128,
             },
             data,
-        );
+        )
+        .timed();
         let mut workload = Workload::new(WorkloadSpec::standard('A'), (records / 10) as u64, 7);
         jitd.reorganize_until_quiet(u64::MAX);
         for _ in 0..ops {

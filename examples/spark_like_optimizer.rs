@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example spark_like_optimizer`
 
 use treetoaster::queryopt::antipattern::union_doubling;
-use treetoaster::queryopt::catalyst::{optimize, Breakdown, SearchMode};
+use treetoaster::queryopt::catalyst::{optimize_timed, Breakdown, SearchMode};
 use treetoaster::queryopt::tpch;
 
 fn show(label: &str, bd: &Breakdown) {
@@ -35,10 +35,10 @@ fn main() {
     let mut total_tt = Breakdown::default();
     for q in 1..=22 {
         let mut ast = tpch::build_query(q, 42);
-        let bd = optimize(&mut ast, SearchMode::NaiveScan, 100);
+        let bd = optimize_timed(&mut ast, SearchMode::NaiveScan, 100);
         accumulate(&mut total_naive, &bd);
         let mut ast = tpch::build_query(q, 42);
-        let bd = optimize(&mut ast, SearchMode::TreeToasterViews, 100);
+        let bd = optimize_timed(&mut ast, SearchMode::TreeToasterViews, 100);
         accumulate(&mut total_tt, &bd);
     }
     show("naive scan", &total_naive);
@@ -49,10 +49,10 @@ fn main() {
         treetoaster::queryopt::antipattern::expected_size(4)
     );
     let mut ast = union_doubling(4);
-    let bd = optimize(&mut ast, SearchMode::NaiveScan, 60);
+    let bd = optimize_timed(&mut ast, SearchMode::NaiveScan, 60);
     show("naive scan", &bd);
     let mut ast = union_doubling(4);
-    let bd = optimize(&mut ast, SearchMode::TreeToasterViews, 60);
+    let bd = optimize_timed(&mut ast, SearchMode::TreeToasterViews, 60);
     show("treetoaster", &bd);
 
     println!("\nThe naive optimizer burns its time matching patterns against every node on");

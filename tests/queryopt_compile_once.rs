@@ -1,9 +1,6 @@
 //! Compiling the optimizer's rules once changes no plan: the
 //! process-wide `Optimizer` behind `optimize` ends every plan exactly
 //! where one compiled from scratch does.
-//!
-//! A test binary of its own, so this CPU-heavy sweep never runs beside
-//! the wall-clock share assertions in `queryopt_end_to_end.rs`.
 
 use std::sync::Arc;
 use treetoaster::ast::sexpr::{parse_sexpr, to_sexpr};

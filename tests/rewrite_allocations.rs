@@ -9,6 +9,10 @@
 //! epoch before landing it, shows up here as a count, long before it
 //! shows up in a latency figure.
 //!
+//! The runtimes here are untimed, as served and benchmarked ones are:
+//! they count events but keep no latency samples, so no sample vector
+//! grows on the measured path.
+//!
 //! The counter is per thread, so the test harness's other threads do
 //! not disturb a measurement.
 
@@ -106,9 +110,11 @@ const REWRITE_ALLOCATIONS: u64 = 5;
 /// debug assertions; CI runs this binary in release as well.
 const DEBUG_CHECK_ALLOCATIONS: u64 = if cfg!(debug_assertions) { 2 } else { 0 };
 
-/// The runtime's three per-rule latency sample vectors grow by doubling,
-/// so now and then a step also pays for one growth of each.
-const SAMPLE_GROWTH: u64 = 3;
+/// A view that first holds a node of a new 256-id range allocates that
+/// range's dense page (its box and its slot vector) and, for an id past
+/// the page table, grows the table. That growth shows in the strategy's
+/// bytes, and it is the only thing a step may allocate beyond its record.
+const PAGE_ALLOCATIONS: u64 = 3;
 
 #[test]
 fn a_push_down_rewrite_allocates_only_its_record() {
@@ -128,9 +134,10 @@ fn a_push_down_rewrite_allocates_only_its_record() {
         });
         let mut fired = false;
         for &rid in &push_downs {
+            let bytes = jitd.strategy_memory_bytes();
             let (n, step) = allocations(|| jitd.reorganize_step(rid));
             if step.fired {
-                counts.push(n);
+                counts.push((n, jitd.strategy_memory_bytes() > bytes));
                 fired = true;
                 break;
             }
@@ -138,25 +145,16 @@ fn a_push_down_rewrite_allocates_only_its_record() {
         assert!(fired, "insert {i} was not pushed down");
         jitd.reorganize_until_quiet(u64::MAX);
     }
-    let typical = *counts.iter().min().unwrap();
-    let worst = *counts.iter().max().unwrap();
     let bound = REWRITE_ALLOCATIONS + DEBUG_CHECK_ALLOCATIONS;
-    assert!(
-        typical <= bound,
-        "a push-down step allocated {typical} times (bound {bound}): {counts:?}"
-    );
-    assert!(
-        worst <= bound + SAMPLE_GROWTH,
-        "a push-down step allocated {worst} times (bound {}): {counts:?}",
-        bound + SAMPLE_GROWTH
-    );
+    for &(n, grew) in &counts {
+        assert!(
+            n <= bound || (grew && n <= bound + PAGE_ALLOCATIONS),
+            "a push-down step allocated {n} times (bound {bound}, grew: {grew}): {counts:?}"
+        );
+    }
     jitd.check_strategy_consistent().unwrap();
     jitd.agreement_with_naive().unwrap();
 }
-
-/// A commit grows the runtime's commit-latency sample vector now and
-/// then (it doubles).
-const COMMIT_SAMPLE_GROWTH: u64 = 1;
 
 #[test]
 fn a_warm_epoch_commit_allocates_nothing() {
@@ -195,7 +193,7 @@ fn a_warm_epoch_commit_allocates_nothing() {
         );
         for &(n, grew) in &counts {
             assert!(
-                grew || n <= COMMIT_SAMPLE_GROWTH,
+                grew || n == 0,
                 "{label}: a commit that grew no structure allocated {n} times: {counts:?}"
             );
         }
