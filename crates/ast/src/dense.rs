@@ -17,13 +17,10 @@
 //!   no hashing, no probing, no allocation. The Z-sets every epoch stages
 //!   into ([`ZSet`](crate::ZSet): one per TreeToaster view, one per
 //!   label of the label index) are `NodeMap`s of signed weights.
+//!   The bolt-ons' epochs are `NodeMap`s of each touched node's latest
+//!   labelled image: a node carries one label at a time, so an arena
+//!   slot reused under another label simply takes the new image.
 //! - [`NodeBitSet`] — one bit per node, for membership-only scratch sets.
-//! - [`NodeLabelMap<T>`] — `(Label, NodeId) → T` for the bolt-ons' epoch
-//!   log (`tt_ivm`'s `DeltaLog`), which must distinguish an arena slot
-//!   freed under one label and reused under another. Keyed densely by
-//!   node; the per-node label dimension is a one-inline-entry structure
-//!   (a node carries exactly one label at a time, so the spill vector is
-//!   empty in steady state).
 //!
 //! ### Page size
 //!
@@ -41,7 +38,7 @@
 //! [`NodeMap`] carries a generation counter and every page records the
 //! generation it was last written in. [`NodeMap::clear`] is therefore an
 //! O(1) stamp bump — no page walk — which matters for the epoch
-//! structures (Z-sets, the bolt-ons' log) that clear once per epoch,
+//! structures (Z-sets, the bolt-ons' epochs) that clear once per epoch,
 //! and for fleet deployments where per-tree structures clear whenever
 //! their shard's epoch turns over. A stale page (stamp ≠ current
 //! generation) reads as empty and is lazily wiped on its first write, so
@@ -52,10 +49,9 @@
 //! is invisible to value-walking `memory_bytes` implementations until
 //! then. Structures whose values own heap should `drain()` (which drops
 //! eagerly and still retains pages) instead of `clear()` when discarding
-//! state — see `tt_ivm`'s `DeltaLog::clear`.
+//! state — as the bolt-on engine does on `rebuild`.
 
 use crate::arena::NodeId;
-use crate::schema::Label;
 use std::fmt;
 
 /// Slots per page (2⁸). See the module docs for the sizing rationale.
@@ -493,195 +489,6 @@ impl fmt::Debug for NodeBitSet {
     }
 }
 
-/// Per-node label dimension of a [`NodeLabelMap`]: a node carries exactly
-/// one label at a time, so `first` covers steady state and `rest` (an
-/// un-allocated `Vec` until needed) absorbs the rare in-epoch id reuse
-/// under a different label.
-struct LabelSlot<T> {
-    first: (Label, T),
-    rest: Vec<(Label, T)>,
-}
-
-/// A dense map keyed by `(Label, NodeId)`, node-major.
-///
-/// The bolt-ons' epoch log (`tt_ivm`'s `DeltaLog`) keys by label *and*
-/// node because an arena slot freed under one label can be recycled
-/// under another before the epoch commits. (The label index stages one
-/// [`ZSet`](crate::ZSet) per label instead, which separates labels by
-/// construction.) Keying the
-/// page structure by node keeps the hot path direct-indexed; the label
-/// dimension is resolved by at most one inline comparison in steady
-/// state.
-pub struct NodeLabelMap<T> {
-    slots: NodeMap<LabelSlot<T>>,
-    len: usize,
-}
-
-impl<T> Default for NodeLabelMap<T> {
-    fn default() -> Self {
-        NodeLabelMap {
-            slots: NodeMap::new(),
-            len: 0,
-        }
-    }
-}
-
-/// Where a `(label, node)` key lives inside its node's [`LabelSlot`].
-enum SlotPos {
-    Absent,
-    First,
-    Rest(usize),
-}
-
-impl<T> NodeLabelMap<T> {
-    /// An empty map.
-    pub fn new() -> NodeLabelMap<T> {
-        NodeLabelMap::default()
-    }
-
-    /// Number of `(label, node)` entries.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if no entries are present.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn position(slot: &LabelSlot<T>, label: Label) -> SlotPos {
-        if slot.first.0 == label {
-            return SlotPos::First;
-        }
-        match slot.rest.iter().position(|(l, _)| *l == label) {
-            Some(i) => SlotPos::Rest(i),
-            None => SlotPos::Absent,
-        }
-    }
-
-    /// The value for `(label, id)`, if present.
-    pub fn get(&self, label: Label, id: NodeId) -> Option<&T> {
-        let slot = self.slots.get(id)?;
-        match Self::position(slot, label) {
-            SlotPos::First => Some(&slot.first.1),
-            SlotPos::Rest(i) => Some(&slot.rest[i].1),
-            SlotPos::Absent => None,
-        }
-    }
-
-    /// True if `(label, id)` has an entry.
-    pub fn contains(&self, label: Label, id: NodeId) -> bool {
-        self.get(label, id).is_some()
-    }
-
-    /// The entry for `(label, id)`, inserted via `default` if absent.
-    /// One page-table lookup per call — this is the staging hot path.
-    pub fn get_or_insert_with(
-        &mut self,
-        label: Label,
-        id: NodeId,
-        default: impl FnOnce() -> T,
-    ) -> &mut T {
-        // `default` moves into the closure only if the node slot is
-        // fresh; an untouched `Some` afterwards means the slot existed.
-        let mut default = Some(default);
-        let len = &mut self.len;
-        let slot = self.slots.get_or_insert_with(id, || {
-            *len += 1;
-            LabelSlot {
-                first: (label, (default.take().expect("fresh slot"))()),
-                rest: Vec::new(),
-            }
-        });
-        // A fresh slot carries our label in `first`, so `position` finds
-        // it there and the consumed default is never needed again.
-        match Self::position(slot, label) {
-            SlotPos::First => &mut slot.first.1,
-            SlotPos::Rest(i) => &mut slot.rest[i].1,
-            SlotPos::Absent => {
-                self.len += 1;
-                let make = default.take().expect("existing slot left default unused");
-                slot.rest.push((label, make()));
-                &mut slot.rest.last_mut().expect("just pushed").1
-            }
-        }
-    }
-
-    /// Inserts `value` for `(label, id)`, returning the displaced value.
-    pub fn insert(&mut self, label: Label, id: NodeId, value: T) -> Option<T> {
-        let mut value = Some(value);
-        let entry = self.get_or_insert_with(label, id, || value.take().expect("fresh key"));
-        // `value` survives only if the key already existed; displace it.
-        value.map(|v| std::mem::replace(entry, v))
-    }
-
-    /// Removes and returns the entry for `(label, id)`.
-    pub fn remove(&mut self, label: Label, id: NodeId) -> Option<T> {
-        let pos = Self::position(self.slots.get(id)?, label);
-        match pos {
-            SlotPos::Absent => None,
-            SlotPos::Rest(i) => {
-                self.len -= 1;
-                let slot = self.slots.get_mut(id).expect("present");
-                Some(slot.rest.swap_remove(i).1)
-            }
-            SlotPos::First => {
-                self.len -= 1;
-                let slot = self.slots.get_mut(id).expect("present");
-                if let Some(promoted) = slot.rest.pop() {
-                    let old = std::mem::replace(&mut slot.first, promoted);
-                    Some(old.1)
-                } else {
-                    Some(self.slots.remove(id).expect("present").first.1)
-                }
-            }
-        }
-    }
-
-    /// Removes every entry, keeping node pages allocated.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.len = 0;
-    }
-
-    /// Iterates `((label, id), &value)`, node-major.
-    pub fn iter(&self) -> impl Iterator<Item = ((Label, NodeId), &T)> + '_ {
-        self.slots.iter().flat_map(|(id, slot)| {
-            std::iter::once((&slot.first, id))
-                .chain(slot.rest.iter().map(move |e| (e, id)))
-                .map(|(&(label, ref v), id)| ((label, id), v))
-        })
-    }
-
-    /// Drains every entry as `((label, id), value)`, keeping pages.
-    pub fn drain(&mut self) -> impl Iterator<Item = ((Label, NodeId), T)> + '_ {
-        self.len = 0;
-        self.slots.drain().flat_map(|(id, slot)| {
-            std::iter::once(slot.first)
-                .chain(slot.rest)
-                .map(move |(label, v)| ((label, id), v))
-        })
-    }
-
-    /// Approximate heap bytes: pages plus any spill vectors.
-    pub fn memory_bytes(&self) -> usize {
-        self.slots.memory_bytes()
-            + self
-                .slots
-                .iter()
-                .map(|(_, slot)| slot.rest.capacity() * std::mem::size_of::<(Label, T)>())
-                .sum::<usize>()
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for NodeLabelMap<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_map().entries(self.iter()).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -809,21 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn label_map_survives_stamp_clear() {
-        let (a, b) = (Label(1), Label(2));
-        let mut m: NodeLabelMap<i64> = NodeLabelMap::new();
-        m.insert(a, n(4), 1);
-        m.insert(b, n(4), 2);
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.get(a, n(4)), None);
-        assert_eq!(m.insert(a, n(4), 7), None, "no ghost from the old epoch");
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.get(a, n(4)), Some(&7));
-        assert_eq!(m.get(b, n(4)), None);
-    }
-
-    #[test]
     fn map_memory_grows_per_page_not_per_arena() {
         let mut sparse: NodeMap<i64> = NodeMap::new();
         sparse.insert(n(1_000_000), 1);
@@ -860,54 +652,5 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         assert!(s.memory_bytes() > 0, "clear retains words");
-    }
-
-    #[test]
-    fn label_map_distinguishes_labels_on_one_node() {
-        let (a, b) = (Label(0), Label(3));
-        let mut m: NodeLabelMap<i64> = NodeLabelMap::new();
-        assert_eq!(m.insert(a, n(4), 10), None);
-        assert_eq!(m.insert(b, n(4), 20), None);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.get(a, n(4)), Some(&10));
-        assert_eq!(m.get(b, n(4)), Some(&20));
-        assert_eq!(m.insert(a, n(4), 11), Some(10));
-        assert_eq!(m.len(), 2, "overwrite does not grow");
-        // Removing the inline entry promotes the spilled one.
-        assert_eq!(m.remove(a, n(4)), Some(11));
-        assert_eq!(m.get(b, n(4)), Some(&20));
-        assert_eq!(m.remove(b, n(4)), Some(20));
-        assert!(m.is_empty());
-        assert_eq!(m.remove(b, n(4)), None);
-    }
-
-    #[test]
-    fn label_map_get_or_insert_and_drain() {
-        let (a, b) = (Label(1), Label(2));
-        let mut m: NodeLabelMap<i64> = NodeLabelMap::new();
-        *m.get_or_insert_with(a, n(1), || 0) += 7;
-        *m.get_or_insert_with(a, n(1), || 99) += 1;
-        *m.get_or_insert_with(b, n(1), || 0) -= 2;
-        *m.get_or_insert_with(a, n(300), || 0) += 3;
-        assert_eq!(m.len(), 3);
-        let mut drained: Vec<((Label, NodeId), i64)> = m.drain().collect();
-        drained.sort_by_key(|&((l, id), _)| (id, l.0));
-        assert_eq!(
-            drained,
-            vec![((a, n(1)), 8), ((b, n(1)), -2), ((a, n(300)), 3)]
-        );
-        assert!(m.is_empty());
-        // Reusable after drain.
-        m.insert(a, n(1), 1);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.iter().count(), 1);
-    }
-
-    #[test]
-    fn label_map_memory_accounts_pages() {
-        let mut m: NodeLabelMap<i64> = NodeLabelMap::new();
-        assert_eq!(m.memory_bytes(), 0);
-        m.insert(Label(0), n(9), 1);
-        assert!(m.memory_bytes() > 0);
     }
 }

@@ -12,9 +12,9 @@
 //!
 //! The crate also provides:
 //! - [`dense`] — the dense node-indexed storage layer ([`NodeMap`],
-//!   [`NodeBitSet`], [`NodeLabelMap`]): page-backed direct-indexed maps
-//!   that every maintenance-hot-path structure (views, posting lists,
-//!   epoch Z-sets) uses instead of hashing `NodeId` keys,
+//!   [`NodeBitSet`]): page-backed direct-indexed maps that every
+//!   maintenance-hot-path structure (views, posting lists, epochs) uses
+//!   instead of hashing `NodeId` keys,
 //! - [`zset::ZSet`] — the Z-set (Blizard's generalized multiset, §5):
 //!   signed weights with ⊕ / ⊖ and cancellation, the container every
 //!   TreeToaster and label-index epoch stages into,
@@ -32,7 +32,7 @@ pub mod value;
 pub mod zset;
 
 pub use arena::{Ast, Node, NodeId, NodeRow, SmallList};
-pub use dense::{NodeBitSet, NodeLabelMap, NodeMap};
+pub use dense::{NodeBitSet, NodeMap};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use schema::{AttrName, Label, Schema, SchemaBuilder};
 pub use value::{IntSet, Record, Value};

@@ -3,21 +3,31 @@
 //!
 //! A bolt-on engine sees the AST only as the flat node-event stream of
 //! its relational encoding, so it keeps a projected **shadow copy** of
-//! the pattern-relevant tree, replays every insert/delete through one
-//! [`JoinPlan`] per rule, and coalesces events inside an epoch with a
-//! [`DeltaLog`]. [`BoltOnIvm`] owns all of that once; the plans decide
-//! only which join results are materialized:
+//! the pattern-relevant tree and replays every insert/delete through one
+//! [`JoinPlan`] per rule. [`BoltOnIvm`] owns all of that once; the plans
+//! decide only which join results are materialized:
 //!
 //! - [`crate::classic::PrefixPlan`] — one left-deep plan with every
 //!   prefix join kept (the evaluation's **Classic**);
 //! - [`crate::dbtoaster::SubsetPlan`] — one map per connected sub-join
 //!   (the evaluation's **DBT**).
+//!
+//! ### Epochs
+//!
+//! The shadow copy is the integral of the event stream, so an epoch
+//! records only each touched node's latest image, or that the node was
+//! destroyed. Landing the epoch diffs each entry against the shadow copy
+//! (label and projected row): first it removes, in ascending id order,
+//! the row of every node that is gone or whose image changed, then it
+//! inserts every new or changed image. A node born and destroyed in the
+//! epoch, or re-imaged back to its old row, never reaches the plans.
+//! Outside an epoch each event applies directly, after any sealed epoch
+//! lands.
 
-use crate::batch::DeltaLog;
 use crate::common::{self, PreImage, ViewCore};
 use std::sync::Arc;
 use treetoaster_core::{EpochOps, MatchCore, ReplaceCtx, RuleId, RuleSet};
-use tt_ast::{Ast, Label, NodeId, NodeRow};
+use tt_ast::{Ast, Label, NodeId, NodeMap, NodeRow};
 use tt_pattern::{Bindings, SqlQuery};
 use tt_relational::{Database, JoinRow, NodeDelta};
 
@@ -51,25 +61,31 @@ pub trait JoinPlan: Send {
     fn check_internal(&self, expected: &[JoinRow]) -> Result<(), String>;
 }
 
-/// A bolt-on IVM strategy: a shadow database, an epoch log, and one
-/// [`JoinPlan`] per rule.
+/// One epoch: each node it touched → its latest (projected) image, or
+/// `None` once the node is destroyed.
+type Images = NodeMap<Option<(Label, NodeRow)>>;
+
+/// A bolt-on IVM strategy: a shadow database, the open and sealed
+/// epochs, and one [`JoinPlan`] per rule.
 pub struct BoltOnIvm<P> {
     rules: Arc<RuleSet>,
     /// The projected shadow copy of the pattern-relevant tree (§3.2).
     pub(crate) db: Database,
     /// One plan per rule, indexed by [`RuleId`].
     pub(crate) plans: Vec<P>,
-    /// Epoch-scoped coalescing of the node event stream. Bolt-ons can
-    /// only answer `find_one` from reconciled state, so reads inside an
-    /// open epoch flush the log first (coalescing whatever accumulated
-    /// since the last read) — the asymmetry §3.2 predicts.
-    log: DeltaLog,
-    /// Net delta stream of an epoch sealed by `submit_commit`, awaiting
-    /// its background committer. Replay order within the vec is the
-    /// order `take_pending` emitted (removals before insertions per
-    /// epoch), and a second sealed epoch appends after the first, so a
-    /// sequential replay is always equivalent to the synchronous path.
-    sealed: Vec<NodeDelta>,
+    /// True between `begin_batch` and `submit_commit`.
+    in_epoch: bool,
+    /// The open epoch. Bolt-ons can only answer `find_one` from the
+    /// shadow copy, so a read inside an epoch lands it first — the
+    /// asymmetry §3.2 predicts.
+    open: Images,
+    /// The epoch sealed by `submit_commit`, awaiting its committer. It
+    /// lands before any later event does, so events reach the plans in
+    /// submission order.
+    sealed: Images,
+    /// `(staged, emitted)` events of the open, else the most recently
+    /// closed, epoch. Emission is counted when the epoch lands.
+    counts: (u64, u64),
     /// Rows of the replacement in flight, from `before_replace`.
     pre: PreImage,
 }
@@ -86,8 +102,10 @@ impl<P: JoinPlan> BoltOnIvm<P> {
             rules,
             db,
             plans,
-            log: DeltaLog::new(),
-            sealed: Vec::new(),
+            in_epoch: false,
+            open: Images::new(),
+            sealed: Images::new(),
+            counts: (0, 0),
             pre: PreImage::default(),
         }
     }
@@ -100,50 +118,65 @@ impl<P: JoinPlan> BoltOnIvm<P> {
         Database::with_projection(ast.schema().clone(), projection)
     }
 
-    /// Sequentially applies one node-granularity delta: deletions probe
-    /// then remove from the shadow copy; insertions add then probe.
-    fn apply_delta(&mut self, delta: &NodeDelta) {
-        match delta {
-            NodeDelta::Remove(label, row) => {
-                for plan in &mut self.plans {
-                    feed(plan, &self.db, *label, row, -1);
-                }
-                self.db.remove(*label, row.id);
-            }
-            NodeDelta::Insert(label, row) => {
-                self.db.insert(*label, row.clone());
-                for plan in &mut self.plans {
-                    feed(plan, &self.db, *label, row, 1);
-                }
-            }
-        }
-    }
-
-    /// Routes node events through the epoch log: staged inside an open
-    /// epoch, applied at once outside one. Out-of-epoch events apply
-    /// directly, so a sealed epoch still awaiting its committer replays
-    /// first to keep the event stream in submission order.
+    /// Stages node events in the open epoch. Outside an epoch the sealed
+    /// epoch lands first and each event then applies directly.
     fn stream(&mut self, deltas: impl IntoIterator<Item = NodeDelta>) {
-        if !self.log.is_open() {
-            self.apply_submitted();
+        if self.in_epoch {
+            deltas.into_iter().for_each(|delta| self.stage(delta));
+            return;
         }
+        self.land_sealed();
         for delta in deltas {
-            if let Some(delta) = self.log.absorb(delta) {
-                self.apply_delta(&delta);
+            match delta {
+                NodeDelta::Remove(label, row) => {
+                    remove(&mut self.db, &mut self.plans, label, row.id)
+                }
+                NodeDelta::Insert(label, row) => insert(&mut self.db, &mut self.plans, label, row),
             }
         }
     }
 
-    /// Replays everything staged in the open epoch through the normal
-    /// sequential path — net deltas only, opposing pairs already gone.
-    /// A sealed epoch awaiting its committer replays first (the owning
-    /// session may apply it early; the committer's later `apply_submitted`
-    /// then finds the slot empty), preserving epoch order.
-    fn flush_pending(&mut self) {
-        self.apply_submitted();
-        for delta in self.log.take_pending() {
-            self.apply_delta(&delta);
+    /// Records one event as its node's latest image. The node's current
+    /// image is looked up in the open epoch, then the sealed one, then
+    /// the shadow copy; an insert of a present node or a remove of an
+    /// absent one breaks the stream's alternation and panics.
+    fn stage(&mut self, delta: NodeDelta) {
+        let (is_insert, label, mut row) = match delta {
+            NodeDelta::Insert(label, row) => (true, label, row),
+            NodeDelta::Remove(label, row) => (false, label, row),
+        };
+        let id = row.id;
+        let current = match self.open.get(id).or_else(|| self.sealed.get(id)) {
+            Some(image) => image.as_ref().map(|&(label, _)| label),
+            None => self.db.find_row(id).map(|(label, _)| label),
+        };
+        let expected = if is_insert { None } else { Some(label) };
+        assert!(
+            current == expected,
+            "delta stream violated insert/remove alternation for {id:?}: \
+             the node is {current:?}, the event needs {expected:?}"
+        );
+        self.counts.0 += 1;
+        let image = is_insert.then(|| {
+            if let Some(projection) = self.db.projection() {
+                projection.apply(label, &mut row);
+            }
+            (label, row)
+        });
+        self.open.insert(id, image);
+    }
+
+    /// Lands the sealed epoch, if any. Its events count as emitted only
+    /// while no newer epoch is open.
+    fn land_sealed(&mut self) -> bool {
+        if self.sealed.is_empty() {
+            return false;
         }
+        let emitted = land(&mut self.db, &mut self.plans, &mut self.sealed);
+        if !self.in_epoch {
+            self.counts.1 += emitted;
+        }
+        true
     }
 
     /// Test oracle: the top view of each pattern must equal a from-scratch
@@ -176,6 +209,60 @@ impl<P: JoinPlan> BoltOnIvm<P> {
     }
 }
 
+/// Lands `epoch` on the shadow copy and the plans, leaving it empty with
+/// its pages kept: each entry minus the image the shadow copy holds,
+/// removals before insertions. Returns the number of row events fed.
+fn land<P: JoinPlan>(db: &mut Database, plans: &mut [P], epoch: &mut Images) -> u64 {
+    let mut emitted = 0;
+    for (id, image) in epoch.iter() {
+        let Some((label, old)) = db.find_row(id) else {
+            continue;
+        };
+        if image
+            .as_ref()
+            .is_some_and(|(l, row)| *l == label && row == old)
+        {
+            continue;
+        }
+        remove(db, plans, label, id);
+        emitted += 1;
+    }
+    for (id, image) in epoch.drain() {
+        match image {
+            // Unchanged images are still in the shadow copy.
+            Some((label, row)) if db.table(label).get(id).is_none() => {
+                insert(db, plans, label, row);
+                emitted += 1;
+            }
+            _ => {}
+        }
+    }
+    emitted
+}
+
+/// Feeds the removal of a row to every plan, then drops it from the
+/// shadow copy.
+fn remove<P: JoinPlan>(db: &mut Database, plans: &mut [P], label: Label, id: NodeId) {
+    let row = db
+        .table(label)
+        .get(id)
+        .expect("removed row is in the shadow copy");
+    for plan in plans {
+        feed(plan, db, label, row, -1);
+    }
+    db.remove(label, id);
+}
+
+/// Adds one row to the shadow copy, then feeds it to every plan.
+fn insert<P: JoinPlan>(db: &mut Database, plans: &mut [P], label: Label, row: NodeRow) {
+    let id = row.id;
+    db.insert(label, row);
+    let row = db.table(label).get(id).expect("row just inserted");
+    for plan in plans {
+        feed(plan, db, label, row, 1);
+    }
+}
+
 /// Feeds one tuple delta to every atom of `plan` that `label` aliases.
 /// For self-joins such as `Project(Project(…))`, atoms go ascending for
 /// deletions and descending for insertions, so each step sees exactly
@@ -191,6 +278,16 @@ fn feed<P: JoinPlan>(plan: &mut P, db: &Database, label: Label, row: &NodeRow, s
     }
 }
 
+/// Heap bytes of one epoch: its pages plus the rows it holds.
+fn staged_bytes(epoch: &Images) -> usize {
+    epoch.memory_bytes()
+        + epoch
+            .iter()
+            .filter_map(|(_, image)| image.as_ref())
+            .map(|(_, row)| row.heap_bytes())
+            .sum::<usize>()
+}
+
 impl<P: JoinPlan> MatchCore for BoltOnIvm<P> {
     fn name(&self) -> &'static str {
         P::NAME
@@ -201,21 +298,30 @@ impl<P: JoinPlan> MatchCore for BoltOnIvm<P> {
         for plan in &mut self.plans {
             plan.clear();
         }
-        self.log.clear();
-        self.sealed.clear();
+        // Drained rather than cleared, so the staged rows' heap is freed
+        // now instead of lingering unreported in stale pages.
+        self.open.drain().for_each(drop);
+        self.sealed.drain().for_each(drop);
         if ast.root().is_null() {
             return;
         }
         // Replay every node as an insertion through the incremental path.
         for n in ast.descendants(ast.root()) {
-            let label = ast.label(n);
-            let row = NodeRow::of(ast, n);
-            self.apply_delta(&NodeDelta::Insert(label, row));
+            insert(
+                &mut self.db,
+                &mut self.plans,
+                ast.label(n),
+                NodeRow::of(ast, n),
+            );
         }
     }
 
     fn find_one(&mut self, _ast: &Ast, rule: RuleId) -> Option<NodeId> {
-        self.flush_pending();
+        self.land_sealed();
+        let emitted = land(&mut self.db, &mut self.plans, &mut self.open);
+        if self.in_epoch {
+            self.counts.1 += emitted;
+        }
         self.plans[rule].view().any_root()
     }
 
@@ -239,7 +345,7 @@ impl<P: JoinPlan> MatchCore for BoltOnIvm<P> {
     }
 
     fn check_consistent(&self, ast: &Ast) -> Result<(), String> {
-        if !self.log.is_empty() {
+        if !self.open.is_empty() {
             return Err(format!(
                 "{} engine has staged deltas in an open batch",
                 P::NAME
@@ -256,60 +362,44 @@ impl<P: JoinPlan> MatchCore for BoltOnIvm<P> {
     }
 
     fn memory_bytes(&self) -> usize {
-        // Shadow copy + materialized joins + staged deltas: the §3.2
+        // Shadow copy + materialized joins + staged epochs: the §3.2
         // overhead story.
         self.db.memory_bytes()
             + self.plans.iter().map(P::memory_bytes).sum::<usize>()
-            + self.log.memory_bytes()
-            + self.sealed.capacity() * std::mem::size_of::<NodeDelta>()
-            + self
-                .sealed
-                .iter()
-                .map(|d| d.row().heap_bytes())
-                .sum::<usize>()
+            + staged_bytes(&self.open)
+            + staged_bytes(&self.sealed)
     }
 
     fn match_heat(&self) -> usize {
-        // Materialized match-view sizes; the unflushed delta log and any
-        // sealed-but-unapplied epoch are work the views haven't absorbed
-        // yet, so they count as heat too.
+        // Materialized match-view sizes; the open and sealed epochs are
+        // work the views haven't absorbed yet, so they count as heat too.
         self.plans.iter().map(|p| p.view().len()).sum::<usize>()
-            + self.log.len()
+            + self.open.len()
             + self.sealed.len()
     }
 }
 
 impl<P: JoinPlan> EpochOps for BoltOnIvm<P> {
     fn begin_batch(&mut self) {
-        self.log.begin();
+        if !self.in_epoch {
+            self.in_epoch = true;
+            self.counts = (0, 0);
+        }
     }
 
     fn submit_commit(&mut self) -> bool {
-        // Appending preserves replay order even when the previous sealed
-        // epoch is still in flight: the committer drains the whole vec
-        // sequentially, which is exactly the synchronous apply order.
-        let pending = self.log.take_pending();
-        self.log.end();
-        if pending.is_empty() {
+        if !self.in_epoch {
             return false;
         }
-        if self.sealed.is_empty() {
-            self.sealed = pending;
-        } else {
-            self.sealed.extend(pending);
-        }
-        true
+        // At most one epoch in flight: an older seal lands first.
+        self.land_sealed();
+        self.in_epoch = false;
+        std::mem::swap(&mut self.open, &mut self.sealed);
+        !self.sealed.is_empty()
     }
 
     fn apply_submitted(&mut self) -> bool {
-        if self.sealed.is_empty() {
-            return false;
-        }
-        let sealed = std::mem::take(&mut self.sealed);
-        for delta in &sealed {
-            self.apply_delta(delta);
-        }
-        true
+        self.land_sealed()
     }
 
     fn has_submitted(&self) -> bool {
@@ -317,7 +407,8 @@ impl<P: JoinPlan> EpochOps for BoltOnIvm<P> {
     }
 
     fn batch_cancellation(&self) -> Option<(u64, u64)> {
-        Some(self.log.epoch_stats())
+        let (staged, emitted) = self.counts;
+        Some((staged, staged - emitted))
     }
 }
 
@@ -395,7 +486,7 @@ pub(crate) mod tests {
     }
 
     /// The first `rid` site by the naive matcher, which leaves the
-    /// engine's epoch log untouched (`find_one` would flush it).
+    /// engine's open epoch unlanded (`find_one` would land it).
     fn naive_site(ast: &Ast, rules: &RuleSet, rid: usize) -> NodeId {
         find_first(ast, ast.root(), &rules.get(rid).pattern)
             .unwrap()
@@ -463,12 +554,12 @@ pub(crate) mod tests {
         assert_eq!(engine.plans[0].view().len(), 2, "{}", P::NAME);
     }
 
-    /// Two rewrites in one epoch telescope their parent updates in the log.
+    /// Two rewrites in one epoch telescope their parent updates.
     /// Run by `classic::tests` and `dbtoaster::tests` on their plan.
     pub(crate) fn batched_epoch_coalesces_and_commits_correctly<P: JoinPlan>() {
         // Two AddZero sites under one parent, fired inside one epoch.
-        // The two parent-image updates must telescope in the log
-        // before commit replays the net stream.
+        // The two parent-image updates must telescope before the
+        // epoch lands.
         let mut ast = tree(
             r#"(Arith op="*" (Arith op="+" (Const val=0) (Var name="a")) (Arith op="+" (Const val=0) (Var name="b")))"#,
         );
@@ -480,10 +571,11 @@ pub(crate) mod tests {
             let site = naive_site(&ast, &rules, 0);
             fire(&mut engine, &mut ast, 0, site);
         }
-        assert!(engine.log.staged() > 0, "{}", P::NAME);
         engine.commit_batch();
+        let (staged, canceled) = engine.batch_cancellation().unwrap();
+        assert!(staged > 0, "{}", P::NAME);
         assert!(
-            engine.log.coalesced() >= 2,
+            canceled >= 2,
             "{}: overlapping parent updates must cancel",
             P::NAME
         );
@@ -503,7 +595,7 @@ pub(crate) mod tests {
             engine.begin_batch();
             let site = engine.find_one(&ast, 0).unwrap();
             fire(&mut engine, &mut ast, 0, site);
-            // The bolt-on cannot overlay: the read flushes the pending log.
+            // The bolt-on cannot overlay: the read lands the open epoch.
             assert!(engine.find_one(&ast, 0).is_none(), "{}", P::NAME);
             engine.commit_batch();
             engine.check_consistent(&ast).unwrap();
@@ -526,7 +618,7 @@ pub(crate) mod tests {
             fire(&mut engine, &mut ast, 0, inner);
             assert!(engine.submit_commit(), "{}: the epoch is sealed", P::NAME);
 
-            // Outside any epoch, and with no `find_one` to flush the
+            // Outside any epoch, and with no `find_one` to land the
             // sealed epoch: graft `Arith(*, root, Var z)` above the root
             // (its nodes reuse the arena ids the sealed epoch freed)…
             let outer = ast.root();
@@ -569,5 +661,244 @@ pub(crate) mod tests {
         }
         run::<PrefixPlan>();
         run::<SubsetPlan>();
+    }
+
+    /// A plan that only records the row events it is fed, in order, as
+    /// `(sign, label, id, children)`.
+    struct Recorder {
+        query: SqlQuery,
+        view: ViewCore,
+        fed: Vec<(i64, Label, u32, Vec<u32>)>,
+    }
+
+    impl JoinPlan for Recorder {
+        const NAME: &'static str = "Recorder";
+
+        fn new(query: SqlQuery) -> Self {
+            Recorder {
+                query,
+                view: ViewCore::default(),
+                fed: Vec::new(),
+            }
+        }
+
+        fn query(&self) -> &SqlQuery {
+            &self.query
+        }
+
+        fn process(&mut self, _db: &Database, row: &NodeRow, atom: usize, sign: i64) {
+            let children = row.children.iter().map(|c| c.index()).collect();
+            let label = self.query.atoms[atom].label;
+            self.fed.push((sign, label, row.id.index(), children));
+        }
+
+        fn view(&self) -> &ViewCore {
+            &self.view
+        }
+
+        fn clear(&mut self) {
+            self.fed.clear();
+        }
+
+        fn memory_bytes(&self) -> usize {
+            0
+        }
+
+        fn check_internal(&self, _expected: &[JoinRow]) -> Result<(), String> {
+            Ok(())
+        }
+    }
+
+    /// A recording engine over an empty tree; `AddZero` has one atom per
+    /// arithmetic label, so each landed row event is recorded once.
+    fn recorder() -> BoltOnIvm<Recorder> {
+        let mut engine = BoltOnIvm::<Recorder>::new(rules(), &Ast::new(arith_schema()));
+        engine.rebuild(&Ast::new(arith_schema()));
+        engine
+    }
+
+    fn label(name: &str) -> Label {
+        arith_schema().label(name).unwrap()
+    }
+
+    /// A row of `name` (`Arith` takes children, the leaves none).
+    fn row(name: &str, id: u32, children: &[u32]) -> (Label, NodeRow) {
+        let row = NodeRow {
+            id: NodeId::from_index(id),
+            attrs: vec![Value::Unit],
+            children: children.iter().map(|&c| NodeId::from_index(c)).collect(),
+        };
+        (label(name), row)
+    }
+
+    fn ins((label, row): (Label, NodeRow)) -> NodeDelta {
+        NodeDelta::Insert(label, row)
+    }
+
+    fn rem((label, row): (Label, NodeRow)) -> NodeDelta {
+        NodeDelta::Remove(label, row)
+    }
+
+    /// Applies `events` outside any epoch and forgets what they fed.
+    fn preload(engine: &mut BoltOnIvm<Recorder>, events: Vec<NodeDelta>) {
+        engine.stream(events);
+        engine.plans[0].fed.clear();
+    }
+
+    /// Runs `events` as one epoch, one `stream` call per event, and
+    /// returns what landing fed the plan.
+    fn epoch(
+        engine: &mut BoltOnIvm<Recorder>,
+        events: Vec<NodeDelta>,
+    ) -> Vec<(i64, Label, u32, Vec<u32>)> {
+        engine.begin_batch();
+        for event in events {
+            engine.stream([event]);
+        }
+        engine.commit_batch();
+        std::mem::take(&mut engine.plans[0].fed)
+    }
+
+    #[test]
+    fn insert_then_remove_annihilates() {
+        let mut engine = recorder();
+        let fed = epoch(
+            &mut engine,
+            vec![ins(row("Const", 1, &[])), rem(row("Const", 1, &[]))],
+        );
+        assert!(fed.is_empty());
+        assert_eq!(engine.batch_cancellation(), Some((2, 2)));
+        assert!(engine.db.is_empty());
+    }
+
+    #[test]
+    fn remove_then_identical_reinsert_is_unchanged() {
+        let mut engine = recorder();
+        preload(&mut engine, vec![ins(row("Arith", 7, &[3]))]);
+        let fed = epoch(
+            &mut engine,
+            vec![rem(row("Arith", 7, &[3])), ins(row("Arith", 7, &[3]))],
+        );
+        assert!(fed.is_empty());
+        assert_eq!(engine.batch_cancellation(), Some((2, 2)));
+    }
+
+    #[test]
+    fn overlapping_parent_updates_telescope() {
+        // Image A→B then B→C on the same parent node: only A→C lands.
+        let mut engine = recorder();
+        preload(&mut engine, vec![ins(row("Arith", 5, &[10]))]);
+        let fed = epoch(
+            &mut engine,
+            vec![
+                rem(row("Arith", 5, &[10])),
+                ins(row("Arith", 5, &[11])),
+                rem(row("Arith", 5, &[11])),
+                ins(row("Arith", 5, &[12])),
+            ],
+        );
+        let arith = label("Arith");
+        assert_eq!(fed, [(-1, arith, 5, vec![10]), (1, arith, 5, vec![12])]);
+        assert_eq!(engine.batch_cancellation(), Some((4, 2)));
+    }
+
+    #[test]
+    fn id_reuse_across_labels_emits_both_sides() {
+        // Node freed under one label, arena slot reused under another.
+        let mut engine = recorder();
+        preload(&mut engine, vec![ins(row("Const", 4, &[]))]);
+        let fed = epoch(
+            &mut engine,
+            vec![rem(row("Const", 4, &[])), ins(row("Var", 4, &[]))],
+        );
+        assert_eq!(
+            fed,
+            [
+                (-1, label("Const"), 4, vec![]),
+                (1, label("Var"), 4, vec![])
+            ]
+        );
+    }
+
+    #[test]
+    fn removals_emit_before_insertions() {
+        // Even where the inserted node has the lower id.
+        let mut engine = recorder();
+        preload(&mut engine, vec![ins(row("Const", 2, &[]))]);
+        let fed = epoch(
+            &mut engine,
+            vec![ins(row("Const", 1, &[])), rem(row("Const", 2, &[]))],
+        );
+        let c = label("Const");
+        assert_eq!(fed, [(-1, c, 2, vec![]), (1, c, 1, vec![])]);
+    }
+
+    #[test]
+    fn born_died_reborn_keeps_last_image() {
+        let mut engine = recorder();
+        let fed = epoch(
+            &mut engine,
+            vec![
+                ins(row("Arith", 9, &[1])),
+                rem(row("Arith", 9, &[1])),
+                ins(row("Arith", 9, &[2])),
+            ],
+        );
+        assert_eq!(fed, [(1, label("Arith"), 9, vec![2])]);
+    }
+
+    #[test]
+    fn mid_epoch_flush_lets_the_epoch_continue() {
+        let mut engine = recorder();
+        let ast = Ast::new(arith_schema());
+        let c = label("Const");
+        engine.begin_batch();
+        engine.stream([ins(row("Const", 1, &[]))]);
+        engine.find_one(&ast, 0);
+        assert_eq!(engine.plans[0].fed, [(1, c, 1, vec![])]);
+        assert!(engine.in_epoch, "a read does not close the epoch");
+        engine.stream([ins(row("Const", 2, &[]))]);
+        assert_eq!(engine.plans[0].fed.len(), 1, "later events stay staged");
+        engine.commit_batch();
+        assert_eq!(engine.plans[0].fed, [(1, c, 1, vec![]), (1, c, 2, vec![])]);
+        assert_eq!(engine.batch_cancellation(), Some((2, 0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "alternation")]
+    fn double_insert_is_a_protocol_violation() {
+        let mut engine = recorder();
+        engine.begin_batch();
+        engine.stream([ins(row("Const", 1, &[]))]);
+        engine.stream([ins(row("Const", 1, &[]))]);
+    }
+
+    #[test]
+    fn open_epoch_sees_the_unlanded_sealed_epoch() {
+        // The sealed epoch destroys node 5 and creates node 6; the open
+        // epoch re-creates 5 and destroys 6. Both are legal only if the
+        // open epoch's lookups go through the sealed one.
+        let mut engine = recorder();
+        preload(&mut engine, vec![ins(row("Arith", 5, &[10]))]);
+        engine.begin_batch();
+        engine.stream([rem(row("Arith", 5, &[10])), ins(row("Const", 6, &[]))]);
+        assert!(engine.submit_commit());
+        engine.begin_batch();
+        engine.stream([ins(row("Arith", 5, &[12])), rem(row("Const", 6, &[]))]);
+        assert!(engine.plans[0].fed.is_empty(), "nothing has landed yet");
+        engine.commit_batch();
+        let (a, c) = (label("Arith"), label("Const"));
+        assert_eq!(
+            engine.plans[0].fed,
+            [
+                (-1, a, 5, vec![10]),
+                (1, c, 6, vec![]),
+                (-1, c, 6, vec![]),
+                (1, a, 5, vec![12])
+            ],
+            "the sealed epoch lands whole before the open one"
+        );
+        assert!(!engine.has_submitted());
+        assert_eq!(engine.db.len(), 1);
     }
 }

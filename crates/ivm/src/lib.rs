@@ -11,9 +11,9 @@
 //! The two baselines differ in one decision only — which join results
 //! they materialize — so there is one engine, [`bolt_on::BoltOnIvm`],
 //! generic over a [`bolt_on::JoinPlan`]. It owns the shadow database,
-//! the [`DeltaLog`] and sealed epoch, the [`PreImage`], rebuild and
-//! replay, and the one `MatchCore` + `EpochOps` implementation. The
-//! plans are the paper's two baselines, kept exactly as published:
+//! the open and sealed epochs, the [`PreImage`], rebuild and replay, and
+//! the one `MatchCore` + `EpochOps` implementation. The plans are the
+//! paper's two baselines, kept exactly as published:
 //!
 //! - [`classic::ClassicIvm`] = `BoltOnIvm<PrefixPlan>` — Ross et al.'s
 //!   cascading IVM: one left-deep join plan per pattern with every prefix
@@ -25,17 +25,16 @@
 //!   single-tuple delta is answered by joining the tuple against
 //!   precomputed complements.
 //!
-//! Shared plumbing lives in [`common`]; [`batch`] holds the epoch-scoped
-//! [`DeltaLog`] the shell uses to coalesce overlapping deltas across a
-//! rewrite burst before replaying only the net event stream.
+//! An epoch records each touched node's latest image and lands as its
+//! difference from the shadow copy, so a rewrite burst's overlapping
+//! events reach the plans only as their net effect. Shared plumbing
+//! lives in [`common`].
 
-pub mod batch;
 pub mod bolt_on;
 pub mod classic;
 pub mod common;
 pub mod dbtoaster;
 
-pub use batch::DeltaLog;
 pub use bolt_on::{BoltOnIvm, JoinPlan};
 pub use classic::ClassicIvm;
 pub use common::{PreImage, ViewCore};

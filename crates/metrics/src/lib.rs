@@ -26,4 +26,4 @@ pub use json::Json;
 pub use memory::{bytes_to_pages, statm_resident_pages, PAGE_BYTES};
 pub use stats::{Latencies, Summary, SummaryBuilder};
 pub use table::{Csv, Table};
-pub use time::{now_ns, Clock, Stopwatch};
+pub use time::{now_ns, Clock};

@@ -65,74 +65,6 @@ impl Clock {
     }
 }
 
-/// A resumable stopwatch accumulating elapsed nanoseconds across intervals.
-///
-/// Always reads the wall clock; instrumented library loops take a
-/// [`Clock`] instead, so that an untimed caller reads none.
-#[derive(Debug, Default, Clone)]
-pub struct Stopwatch {
-    total_ns: u64,
-    started_at: Option<u64>,
-    intervals: u64,
-}
-
-impl Stopwatch {
-    /// Creates a stopped stopwatch with zero accumulated time.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Starts (or restarts) an interval. Panics if already running.
-    #[inline]
-    pub fn start(&mut self) {
-        assert!(self.started_at.is_none(), "stopwatch already running");
-        self.started_at = Some(now_ns());
-    }
-
-    /// Ends the current interval, adding it to the total. Panics if stopped.
-    #[inline]
-    pub fn stop(&mut self) {
-        let started = self.started_at.take().expect("stopwatch not running");
-        self.total_ns += now_ns().saturating_sub(started);
-        self.intervals += 1;
-    }
-
-    /// Times a closure as one interval and returns its result.
-    #[inline]
-    pub fn time<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        self.start();
-        let out = f();
-        self.stop();
-        out
-    }
-
-    /// Total accumulated nanoseconds across all completed intervals.
-    #[inline]
-    pub fn total_ns(&self) -> u64 {
-        self.total_ns
-    }
-
-    /// Number of completed intervals.
-    #[inline]
-    pub fn intervals(&self) -> u64 {
-        self.intervals
-    }
-
-    /// Mean nanoseconds per completed interval (0 if none).
-    pub fn mean_ns(&self) -> f64 {
-        if self.intervals == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.intervals as f64
-        }
-    }
-
-    /// Resets the stopwatch to its initial state.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,39 +84,5 @@ mod tests {
         let start = Clock::Wall.now();
         assert!(Clock::Wall.since(start) < u64::MAX / 2);
         assert!(Clock::Wall.is_timed());
-    }
-
-    #[test]
-    fn stopwatch_accumulates_intervals() {
-        let mut sw = Stopwatch::new();
-        sw.time(|| std::hint::black_box(1 + 1));
-        sw.time(|| std::hint::black_box(2 + 2));
-        assert_eq!(sw.intervals(), 2);
-        // Elapsed time is non-negative and the mean is defined.
-        assert!(sw.mean_ns() >= 0.0);
-    }
-
-    #[test]
-    fn stopwatch_reset_clears_state() {
-        let mut sw = Stopwatch::new();
-        sw.time(|| ());
-        sw.reset();
-        assert_eq!(sw.total_ns(), 0);
-        assert_eq!(sw.intervals(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "already running")]
-    fn stopwatch_double_start_panics() {
-        let mut sw = Stopwatch::new();
-        sw.start();
-        sw.start();
-    }
-
-    #[test]
-    #[should_panic(expected = "not running")]
-    fn stopwatch_stop_without_start_panics() {
-        let mut sw = Stopwatch::new();
-        sw.stop();
     }
 }

@@ -12,8 +12,8 @@
 //!
 //! Since the views, posting lists, and epoch buffers moved onto the
 //! dense storage layer (`tt_ast::dense`), this suite doubles as its
-//! end-to-end exercise: every epoch stages into `NodeMap`/`NodeLabelMap`
-//! pages and must still commit to exactly the rebuild state. The
+//! end-to-end exercise: every epoch stages into `NodeMap` pages and must
+//! still commit to exactly the rebuild state. The
 //! structure-level differential complement is `tests/dense_storage.rs`.
 
 use proptest::prelude::*;

@@ -1,19 +1,18 @@
 //! Differential suite for the dense storage layer (`tt_ast::dense`).
 //!
-//! The hot maintenance structures — views, posting lists, epoch delta
-//! buffers — all sit on `NodeMap`/`NodeBitSet`/`NodeLabelMap` instead of
-//! hashed `NodeId` maps. Here each dense structure is driven against the
-//! hash-based reference it replaced (`FxHashMap`/`FxHashSet`) over random
-//! op sequences: every operation's return value must agree, and the full
-//! contents must agree at the end. (The end-to-end complement lives in
+//! The hot maintenance structures — views, posting lists, epoch Z-sets
+//! and the bolt-ons' epoch images — all sit on `NodeMap`/`NodeBitSet`
+//! instead of hashed `NodeId` maps. Here each dense structure is driven
+//! against the hash-based reference it replaced (`FxHashMap`/`FxHashSet`)
+//! over random op sequences: every operation's return value must agree,
+//! and the full contents must agree at the end. (The end-to-end complement lives in
 //! `tests/batch_equivalence.rs`, which re-runs the five-strategy epoch
 //! equivalence over the dense-backed views.)
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::HashSet;
-use treetoaster::ast::schema::Label;
-use treetoaster::ast::{FxHashMap, NodeBitSet, NodeId, NodeLabelMap, NodeMap};
+use treetoaster::ast::{FxHashMap, NodeBitSet, NodeId, NodeMap};
 
 fn n(i: u32) -> NodeId {
     NodeId::from_index(i)
@@ -86,37 +85,6 @@ proptest! {
         via_iter.sort_unstable();
         expect.sort_unstable();
         prop_assert_eq!(via_iter, expect);
-    }
-
-    #[test]
-    fn node_label_map_agrees_with_hash_map(
-        ops in vec((0u8..5, 0u32..10_000, 0u16..3, -8i64..8), 1..400)
-    ) {
-        let mut dense: NodeLabelMap<i64> = NodeLabelMap::new();
-        let mut reference: FxHashMap<(Label, NodeId), i64> = FxHashMap::default();
-        for (kind, raw, label, value) in ops {
-            let (l, id) = (Label(label), n(key(raw)));
-            match kind {
-                0 => prop_assert_eq!(dense.insert(l, id, value), reference.insert((l, id), value)),
-                1 => prop_assert_eq!(dense.remove(l, id), reference.remove(&(l, id))),
-                2 => prop_assert_eq!(dense.get(l, id), reference.get(&(l, id))),
-                3 => prop_assert_eq!(dense.contains(l, id), reference.contains_key(&(l, id))),
-                _ => {
-                    let a = dense.get_or_insert_with(l, id, || value);
-                    *a -= 1;
-                    let b = reference.entry((l, id)).or_insert(value);
-                    *b -= 1;
-                    prop_assert_eq!(*a, *b);
-                }
-            }
-            prop_assert_eq!(dense.len(), reference.len());
-        }
-        for (k, v) in dense.iter() {
-            prop_assert_eq!(reference.get(&k), Some(v));
-        }
-        let drained: FxHashMap<(Label, NodeId), i64> = dense.drain().collect();
-        prop_assert_eq!(drained, reference);
-        prop_assert!(dense.is_empty());
     }
 
     /// Clear keeps the structures reusable: a cleared dense map must
