@@ -20,9 +20,7 @@
 //! thread oversubscription, and the async-commit cells' with the
 //! committer thread's scheduling, so cross-machine ratios on them
 //! measure the machine, not the code (each report's *internal*
-//! stealing and commit gates still cover them, same-machine). Baseline
-//! cells tagged `"matcher": "per-rule"` (the retired per-rule matcher)
-//! are skipped, and the count is printed. Exits
+//! stealing and commit gates still cover them, same-machine). Exits
 //! non-zero with a diagnostic on any violation, so the CI job fails
 //! instead of archiving a malformed (or slower) artifact.
 
@@ -88,13 +86,6 @@ fn compare(old_path: &str, new_path: &str, threshold: f64, sync_only: bool) -> E
             return ExitCode::FAILURE;
         }
     };
-    if cmp.skipped_per_rule > 0 {
-        eprintln!(
-            "tt-bench-check: skipped {} baseline cells tagged \"matcher\": \"per-rule\" \
-             (the per-rule matcher is retired; nothing pairs with them)",
-            cmp.skipped_per_rule
-        );
-    }
     if sync_only {
         // Coverage was already enforced over every cell by
         // compare_reports; only the ratio gate narrows to sync cells.

@@ -235,7 +235,7 @@ fn parse_args() -> Args {
 /// One cell of the sweep: trees == 1 with a single-tree workload runs
 /// the classic driver, fleet workloads run the inline fleet driver, pool
 /// cells run a threaded pool of `pool: Some(w)` workers, commit
-/// cells run the mid-backlog pipeline driver (`commit: Some(async?)`),
+/// cells run the mid-backlog pipeline driver (`commit: Some(pipelined)`),
 /// and rule-scale cells run the generic-mode driver over the paper
 /// rules plus `rule_scale: Some(R)` probes.
 #[derive(Clone, Copy)]
@@ -260,7 +260,6 @@ fn main() -> ExitCode {
             ops: 96,
             crack_threshold: 64,
             seed: 42,
-            async_commit: false,
         }
     } else {
         ExperimentConfig::from_env()
@@ -379,14 +378,14 @@ fn main() -> ExitCode {
     // through the mid-backlog epoch driver (TT strategy — the axis
     // under test is the commit discipline).
     for &workload in &sweep.commit_workloads {
-        for async_commit in [false, true] {
+        for pipelined in [false, true] {
             specs.push(CellSpec {
                 workload,
                 strategy: StrategyKind::TreeToaster,
                 batch_size: COMMIT_BATCH,
                 trees: Some(COMMIT_TREES),
                 pool: None,
-                commit: Some(async_commit),
+                commit: Some(pipelined),
                 service: None,
                 rule_scale: None,
             });
@@ -488,13 +487,13 @@ fn main() -> ExitCode {
                     run_service(experiment, sessions, args.service_threads)
                 } else {
                     match (spec.trees, spec.pool, spec.commit) {
-                        (Some(trees), None, Some(async_commit)) => run_commit_pipeline(
+                        (Some(trees), None, Some(pipelined)) => run_commit_pipeline(
                             spec.workload,
                             spec.strategy,
                             experiment,
                             spec.batch_size,
                             trees,
-                            async_commit,
+                            pipelined,
                         ),
                         (None, _, _) => run_jitd_batched(
                             spec.workload,

@@ -11,8 +11,6 @@
 //! | `TT_OPS`            | 1000    | YCSB operations per run             |
 //! | `TT_CRACK_THRESHOLD`| 64      | CrackArray eligibility bound        |
 //! | `TT_SEED`           | 42      | master RNG seed                     |
-//! | `TT_ASYNC_COMMIT`   | 0       | pipeline epoch commits (seal now,   |
-//! |                     |         | apply one epoch later)              |
 //! | `TT_ANTIPATTERN_MAX`| 6       | deepest UNION-doubling level (fig14)|
 //! | `TT_ORCA_MAX`       | 5       | deepest level for fig15             |
 //! | `TT_FIG1_REPS`      | 3       | repetitions averaged per query      |
@@ -26,8 +24,8 @@ use treetoaster_core::engine::MaintenanceMode;
 use treetoaster_core::TreeToasterEngine;
 use tt_ast::Record;
 use tt_jitd::{
-    jitd_schema, paper_rules, scaled_rules, AsyncJitd, CommitMode, Jitd, JitdIndex, JitdStats,
-    RuleConfig, StealConfig, StrategyKind,
+    jitd_schema, paper_rules, scaled_rules, AsyncJitd, Jitd, JitdIndex, JitdStats, RuleConfig,
+    StealConfig, StrategyKind,
 };
 use tt_metrics::{bytes_to_pages, now_ns, statm_resident_pages, Summary, SummaryBuilder};
 use tt_ycsb::{FleetSpec, FleetWorkload, Workload, WorkloadSpec};
@@ -192,11 +190,11 @@ pub struct BatchRunResult {
     pub steal_count: u64,
     /// Failed try-lock claims that requeued the work item.
     pub contended_count: u64,
-    /// Which commit pipeline closed this cell's epochs: `"sync"` (apply
-    /// inline at epoch close — the classic path) or `"async"` (seal at
-    /// epoch close, apply off the op path: one epoch later on the
-    /// single-threaded drivers, on the background committer thread in
-    /// [`run_commit_pipeline`]).
+    /// At which lag this cell's epochs closed: `"sync"` (lag 0: seal
+    /// and land at epoch close — every library cell but the async
+    /// twin) or `"async"` (lag 1: seal at epoch close and let the
+    /// fleet's committer thread land it — [`run_commit_pipeline`]'s
+    /// async twin and the daemon's service cells).
     pub commit: &'static str,
     /// Largest single **commit window** observed (ns): the stall from
     /// epoch close (after the epoch's ops and reorganization, which are
@@ -211,8 +209,7 @@ pub struct BatchRunResult {
     pub worst_window_ns: u64,
     /// Which harness produced this cell: `"library"` (the in-process
     /// drivers above) or `"service"` (the `tt-serve` daemon driven
-    /// through [`run_service`]). Pre-service artifacts omit the field,
-    /// which readers treat as `"library"`.
+    /// through [`run_service`]).
     pub mode: &'static str,
     /// Concurrent daemon sessions (0 for library cells).
     pub sessions: usize,
@@ -221,8 +218,7 @@ pub struct BatchRunResult {
     /// publishing).
     pub p99_ns: u64,
     /// Synthetic probe rules added by the rule-scale sweep (0 for every
-    /// cell running the paper's stock rule set — including all
-    /// pre-automaton artifacts, which omit the field).
+    /// cell running the paper's stock rule set).
     pub rule_count: usize,
     /// Matches found per rule id over the measured loop (empty when the
     /// driver cannot attribute per-rule counts, e.g. the daemon cells).
@@ -301,22 +297,10 @@ pub fn run_jitd_batched(
         // The commit window (see `BatchRunResult::worst_window_ns`):
         // only the epoch-close stall, not the ops/reorganization above.
         let w_close = now_ns();
-        if cfg.async_commit {
-            // Seal only; the previous epoch's sealed deltas were applied
-            // by this submit's backpressure, so applies run one epoch
-            // behind the stream.
-            jitd.submit_commit();
-        } else {
-            jitd.commit_batch();
-        }
+        jitd.commit_batch();
         done += chunk;
         worst_window_ns = worst_window_ns.max(now_ns() - w_close);
         peak = peak.max(jitd.strategy_memory_bytes());
-    }
-    if cfg.async_commit {
-        // Land the final sealed epoch inside the measured wall time —
-        // the pipelined run owes the same total work.
-        jitd.apply_submitted();
     }
     let total_ns = now_ns() - t0;
 
@@ -342,7 +326,7 @@ pub fn run_jitd_batched(
         workers: 0,
         steal_count: 0,
         contended_count: 0,
-        commit: if cfg.async_commit { "async" } else { "sync" },
+        commit: "sync",
         worst_window_ns,
         mode: "library",
         sessions: 0,
@@ -483,7 +467,6 @@ fn build_fleet(
     trees: usize,
     records_per_tree: u64,
     steal: StealConfig,
-    commit: CommitMode,
 ) -> AsyncJitd {
     let rules = Arc::new(paper_rules(
         &jitd_schema(),
@@ -499,7 +482,7 @@ fn build_fleet(
             Jitd::with_rules(strategy, rules.clone(), part).timed()
         })
         .collect();
-    AsyncJitd::spawn(shards, steal, commit)
+    AsyncJitd::spawn(shards, steal)
 }
 
 /// Per-shard counters at the start of a fleet cell's measured loop.
@@ -584,8 +567,8 @@ fn fleet_memory(fleet: &AsyncJitd) -> usize {
 /// evenly so total state matches a single-tree run at the same
 /// `cfg.records`. Each epoch consumes `batch_size` ops from the fleet
 /// stream; only the shards the epoch actually touched open an epoch,
-/// reorganize, and commit — untouched plans pay nothing, which is
-/// exactly the isolation the tree-count axis measures.
+/// reorganize, and commit at lag 0 — untouched plans pay nothing,
+/// which is exactly the isolation the tree-count axis measures.
 pub fn run_fleet_batched(
     workload: char,
     strategy: StrategyKind,
@@ -605,11 +588,6 @@ pub fn run_fleet_batched(
             workers: 0,
             heat_threshold: 1,
         },
-        if cfg.async_commit {
-            CommitMode::Async
-        } else {
-            CommitMode::Sync
-        },
     );
     let mut driver = FleetWorkload::new(
         FleetSpec::standard(workload, trees),
@@ -628,11 +606,6 @@ pub fn run_fleet_batched(
     let mut touched: Vec<usize> = Vec::new();
     let mut in_epoch = vec![false; trees];
     while done < cfg.ops {
-        if cfg.async_commit {
-            // One epoch lags in the pipeline: the previous epoch's
-            // sealed deltas land only now, before the next epoch opens.
-            fleet.drain_commits();
-        }
         let chunk = batch_size.min(cfg.ops - done);
         touched.clear();
         in_epoch.iter_mut().for_each(|b| *b = false);
@@ -654,15 +627,11 @@ pub fn run_fleet_batched(
         // only the epoch-close stall, not the ops/reorganization above.
         let w_close = now_ns();
         for &tree in &touched {
-            fleet.submit_commit_on(tree);
+            fleet.commit_on(tree);
         }
         done += chunk;
         worst_window_ns = worst_window_ns.max(now_ns() - w_close);
         peak = peak.max(fleet_memory(&fleet));
-    }
-    if cfg.async_commit {
-        // Land the in-flight epochs inside the measured wall time.
-        fleet.drain_commits();
     }
     let total_ns = now_ns() - t0;
 
@@ -686,7 +655,7 @@ pub fn run_fleet_batched(
         workers: 0,
         steal_count: steal.steal_count,
         contended_count: steal.contended_count,
-        commit: if cfg.async_commit { "async" } else { "sync" },
+        commit: "sync",
         worst_window_ns,
         mode: "library",
         sessions: 0,
@@ -730,7 +699,6 @@ pub fn run_steal_pool(
             workers,
             heat_threshold: 1,
         },
-        CommitMode::Sync,
     );
     // Load-phase organization outside the measured loop: the driver
     // cracks every shard synchronously so every pool size starts the
@@ -814,36 +782,6 @@ pub fn run_steal_pool(
     }
 }
 
-/// Runs one fleet workload through the **commit pipeline** cell: epochs
-/// close mid-backlog (one reorganization round per touched shard, on the
-/// op thread) and the `async_commit` axis decides who pays the apply —
-/// the op thread inline at epoch close (`commit = "sync"`), or a
-/// background committer thread the seal merely wakes (`commit =
-/// "async"`). Everything else is identical between the twins: same
-/// shards, same op stream, same on-thread reorganization, same one cold
-/// pool worker (its heat threshold is `u64::MAX`, so it parks for the
-/// whole run and the scheduler axis stays honestly `"sync"` — zero
-/// reorganizer threads run). The headline metric is `worst_window_ns`,
-/// the slowest **commit window**: the stall from epoch close until the
-/// op thread is free to run the next op. For the sync twin that window
-/// contains the inline apply (it grows with the epoch's delta payload);
-/// for the async twin it is the O(1) seal-and-wake, which is the entire
-/// point of moving commits off the query path. The ops and
-/// reorganization rounds are deliberately outside the window — they are
-/// identical between the twins and only dilute the tail with
-/// scaffolding noise — but end-to-end ns/op still covers them. The
-/// clock still runs until every in-flight epoch has landed
-/// ([`tt_jitd::AsyncJitd::drain_commits`], a help-at-barrier: the op thread
-/// applies whatever the committer has not reached rather than charging
-/// a committer wake latency to its own clock), so ns/op stays an
-/// end-to-end number and the async twin cannot win by leaving work
-/// behind.
-///
-/// Epochs must *not* reorganize to quiescence here: a drained backlog
-/// stages and cancels every view delta, net-empty buffers seal nothing,
-/// and the committer would have nothing to overlap (see
-/// docs/commit-pipeline.md). The leftover backlog drains after the
-/// clock stops, identically for both twins.
 /// Reorganization rounds per touched shard per commit-pipeline epoch.
 /// Deep enough that each seal carries a real delta payload (the apply
 /// the async twin moves off the window), shallow enough that the epoch
@@ -851,13 +789,44 @@ pub fn run_steal_pool(
 /// nothing.
 pub const COMMIT_EPOCH_ROUNDS: usize = 4;
 
+/// Runs one fleet workload through the **commit pipeline** cell: epochs
+/// close mid-backlog (a few reorganization rounds per touched shard, on
+/// the op thread) and `pipelined` picks the lag at which each epoch
+/// closes — lag 0 ([`AsyncJitd::commit_on`]: the op thread seals and
+/// lands, `commit = "sync"`) or lag 1 ([`AsyncJitd::submit_commit_on`]:
+/// the op thread only seals and the fleet's committer thread lands,
+/// `commit = "async"`). Everything else is identical between the twins:
+/// same fleet, same op stream, same on-thread reorganization, same one
+/// cold pool worker (its heat threshold is `u64::MAX`, so it parks for
+/// the whole run and the scheduler axis stays honestly `"sync"` — zero
+/// reorganizer threads run) and same committer thread. The headline
+/// metric is `worst_window_ns`, the slowest **commit window**: the
+/// stall from epoch close until the op thread is free to run the next
+/// op. For the sync twin that window contains the inline apply (it
+/// grows with the epoch's delta payload); for the async twin it is the
+/// O(1) seal-and-wake, which is the entire point of moving commits off
+/// the query path. The ops and reorganization rounds are deliberately
+/// outside the window — they are identical between the twins and only
+/// dilute the tail with scaffolding noise — but end-to-end ns/op still
+/// covers them. The clock still runs until every in-flight epoch has
+/// landed ([`AsyncJitd::drain_commits`], a help-at-barrier: the op
+/// thread applies whatever the committer has not reached rather than
+/// charging a committer wake latency to its own clock), so ns/op stays
+/// an end-to-end number and the async twin cannot win by leaving work
+/// behind.
+///
+/// Epochs must *not* reorganize to quiescence here: a drained backlog
+/// stages and cancels every view delta, net-empty buffers seal nothing,
+/// and the committer would have nothing to overlap (see
+/// docs/commit-pipeline.md). The leftover backlog drains after the
+/// clock stops, identically for both twins.
 pub fn run_commit_pipeline(
     workload: char,
     strategy: StrategyKind,
     cfg: ExperimentConfig,
     batch_size: usize,
     trees: usize,
-    async_commit: bool,
+    pipelined: bool,
 ) -> BatchRunResult {
     assert!(batch_size > 0, "batch size must be positive");
     assert!(trees > 0, "pipeline needs at least one shard");
@@ -872,11 +841,6 @@ pub fn run_commit_pipeline(
         StealConfig {
             workers: 1,
             heat_threshold: u64::MAX,
-        },
-        if async_commit {
-            CommitMode::Async
-        } else {
-            CommitMode::Sync
         },
     );
     // Load-phase cracking outside the measured loop, as everywhere.
@@ -927,7 +891,11 @@ pub fn run_commit_pipeline(
         // and measured only through end-to-end ns/op.
         let w_close = now_ns();
         for &shard in &touched {
-            pool.submit_commit_on(shard);
+            if pipelined {
+                pool.submit_commit_on(shard);
+            } else {
+                pool.commit_on(shard);
+            }
         }
         done += chunk;
         worst_window_ns = worst_window_ns.max(now_ns() - w_close);
@@ -966,7 +934,7 @@ pub fn run_commit_pipeline(
         workers: 0,
         steal_count: 0,
         contended_count: 0,
-        commit: if async_commit { "async" } else { "sync" },
+        commit: if pipelined { "async" } else { "sync" },
         worst_window_ns,
         mode: "library",
         sessions: 0,
@@ -1123,7 +1091,6 @@ mod tests {
             ops: 30,
             crack_threshold: 32,
             seed: 7,
-            async_commit: false,
         }
     }
 
@@ -1221,41 +1188,12 @@ mod tests {
     }
 
     #[test]
-    fn async_commit_knob_pipelines_every_epoch_driver() {
-        // The single-tree and fleet drivers under TT_ASYNC_COMMIT: same
-        // measured outcome shape, commit axis flips, and the runs stay
-        // agreement-clean (the equivalence proptest in
-        // tests/commit_equivalence.rs pins the semantics; this pins the
-        // drivers' plumbing).
-        let mut piped_cfg = tiny();
-        piped_cfg.async_commit = true;
-        for strategy in [StrategyKind::TreeToaster, StrategyKind::Classic] {
-            let sync = run_jitd_batched('A', strategy, tiny(), 8);
-            let piped = run_jitd_batched('A', strategy, piped_cfg, 8);
-            assert_eq!(sync.commit, "sync");
-            assert_eq!(piped.commit, "async");
-            assert_eq!(sync.rewrites, piped.rewrites, "{}", strategy.label());
-            assert!(sync.worst_window_ns > 0);
-            assert!(piped.worst_window_ns > 0);
-            let fleet = run_fleet_batched('G', strategy, piped_cfg, 8, 3);
-            assert_eq!(fleet.commit, "async");
-            assert!(fleet.total_ns > 0);
-        }
-    }
-
-    #[test]
     fn run_commit_pipeline_covers_both_commit_modes() {
         let cfg = tiny();
-        for (async_commit, commit) in [(false, "sync"), (true, "async")] {
+        for (pipelined, commit) in [(false, "sync"), (true, "async")] {
             for workload in ['G', 'I'] {
-                let r = run_commit_pipeline(
-                    workload,
-                    StrategyKind::TreeToaster,
-                    cfg,
-                    8,
-                    4,
-                    async_commit,
-                );
+                let r =
+                    run_commit_pipeline(workload, StrategyKind::TreeToaster, cfg, 8, 4, pipelined);
                 assert_eq!(r.commit, commit);
                 assert_eq!(r.scheduler, "sync", "cold pool: no reorganizer ran");
                 assert_eq!(r.workers, 0);

@@ -22,52 +22,42 @@
 //! }
 //! ```
 //!
-//! `trees` is the multi-tree axis (PR 4): single-tree cells carry
-//! `trees: 1` (and older artifacts omit the field, which readers treat
-//! as 1); the fleet workloads G/H/I appear at every swept tree count.
+//! `trees` is the multi-tree axis: single-tree cells carry `trees: 1`;
+//! the fleet workloads G/H/I appear at every swept tree count.
 //!
-//! `scheduler`/`workers` are the reorganizer-deployment axis (PR 5):
-//! `"sync"` cells (the default when the fields are absent — every
-//! pre-PR 5 artifact) measure the inline-reorganizing drivers, while
+//! `scheduler`/`workers` are the reorganizer-deployment axis: `"sync"`
+//! cells (`workers: 0`) measure the inline-reorganizing drivers, while
 //! `"steal"` cells (a pool of `workers` background threads draining the
 //! fleet's work queue) measure the threaded deployment on the skewed
-//! fleet workload I. Older artifacts also carry `"dedicated"` cells
-//! (one pinned worker per shard); readers key and gate them as the
-//! `"steal"` pool with `workers == trees` that replaced them. Threaded
-//! cells also carry the scheduling ledger: `steal_count` and
-//! `contended_count`.
+//! fleet workload I. Threaded cells also carry the scheduling ledger:
+//! `steal_count` and `contended_count`.
 //!
-//! `commit`/`worst_window_ns` are the commit-pipeline axis (PR 6):
-//! `"sync"` cells (the default when the field is absent — every
-//! pre-PR 6 artifact) pay the epoch apply inline at epoch close, while
-//! `"async"` cells only *seal* at epoch close and a background
-//! committer thread lands the epoch off the op path.
-//! `worst_window_ns` is the slowest **commit window** observed — the
-//! stall from epoch close until the op thread is free again (inline
-//! apply vs O(1) seal), the tail-latency number the pipeline exists to
-//! improve (ns/op averages the apply cost away).
+//! `commit`/`worst_window_ns` are the commit-lag axis: `"sync"` cells
+//! close each epoch at lag 0 (seal and land inline), while `"async"`
+//! cells close it at lag 1 (seal only) and the fleet's committer thread
+//! lands the epoch off the op path. `worst_window_ns` is the slowest
+//! **commit window** observed — the stall from epoch close until the op
+//! thread is free again (inline apply vs O(1) seal), the tail-latency
+//! number the pipeline exists to improve (ns/op averages the apply cost
+//! away).
 //!
-//! `mode`/`sessions`/`p99_ns`/`ops_per_sec` are the service axis
-//! (PR 7): `"library"` cells (the default when `mode` is absent —
-//! every pre-service artifact) come from the in-process drivers above,
-//! while `"service"` cells measure the `tt-serve` daemon under
+//! `mode`/`sessions`/`p99_ns`/`ops_per_sec` are the service axis:
+//! `"library"` cells (`sessions: 0`) come from the in-process drivers
+//! above, while `"service"` cells measure the `tt-serve` daemon under
 //! `sessions` concurrent tenants (workload S) — sustained `ops_per_sec`
 //! plus the per-op latency tail (`p99_ns`, and `worst_window_ns`
 //! repurposed as the single slowest op).
 //!
-//! `rule_count` is the rule-scale axis (PR 8): the number of synthetic
-//! probe rules padded onto the paper's rule set (0 — and absent in
-//! older artifacts — for every stock-rule cell). Cells with
-//! `rule_count > 0` come from the generic-mode rule-scale driver and
-//! are excluded from the fleet-scaling and commit gates, which compare
-//! stock-rule regimes. Every cell searches through the rule set's
-//! compiled match automaton; artifacts from before the per-rule matcher
-//! was retired also carry `matcher: "per-rule"` twins of the rule-scale
-//! cells, which validate but enter no gate and no comparison. Cells
-//! also carry per-rule attribution (`rule_matches`/`rule_rewrites`,
-//! measured-loop deltas) when the driver can attribute them. A cell is
-//! keyed by `(strategy, workload, batch_size, trees, scheduler, workers,
-//! commit, mode, sessions, rule_count)`.
+//! `rule_count` is the rule-scale axis: the number of synthetic probe
+//! rules padded onto the paper's rule set (0 for every stock-rule
+//! cell). Cells with `rule_count > 0` come from the generic-mode
+//! rule-scale driver and are excluded from the fleet-scaling and commit
+//! gates, which compare stock-rule regimes. Every cell searches through
+//! the rule set's compiled match automaton. Cells also carry per-rule
+//! attribution (`rule_matches`/`rule_rewrites`, measured-loop deltas)
+//! when the driver can attribute them. A cell is keyed by `(strategy,
+//! workload, batch_size, trees, scheduler, workers, commit, mode,
+//! sessions, rule_count)`, and every row must carry every key field.
 //!
 //! Validation enforces, beyond schema and coverage, the **stealing
 //! gate**: every threaded group needs a one-worker-per-shard baseline
@@ -127,7 +117,7 @@ pub struct SweepConfig {
     /// Fleet workloads measured through the commit-pipeline driver
     /// (one sync + one async cell each); empty disables them. A
     /// non-empty list is a coverage promise validation holds the report
-    /// to: every listed workload must carry both commit modes.
+    /// to: every listed workload must carry both commit lags.
     pub commit_workloads: Vec<char>,
     /// Session counts the service harness sweeps (workload S through
     /// the `tt-serve` daemon); empty disables the service cells. A
@@ -325,10 +315,9 @@ pub struct ReportSummary {
     /// Distinct fleet tree counts seen (ascending; `[1]` for a purely
     /// single-tree report).
     pub tree_counts: Vec<u64>,
-    /// Distinct reorganizer deployments seen (`["sync"]` for pre-PR 5
-    /// artifacts).
+    /// Distinct reorganizer deployments seen.
     pub schedulers: Vec<String>,
-    /// Distinct commit modes seen (`["sync"]` for pre-PR 6 artifacts).
+    /// Distinct commit lags seen (`"sync"` = lag 0, `"async"` = lag 1).
     pub commits: Vec<String>,
     /// Distinct service session counts seen (ascending; empty for
     /// artifacts without daemon cells).
@@ -346,6 +335,13 @@ fn require_num(entry: &Json, field: &str, index: usize) -> Result<f64, String> {
         ));
     }
     Ok(value)
+}
+
+fn require_str<'a>(entry: &'a Json, field: &str, index: usize) -> Result<&'a str, String> {
+    entry
+        .get(field)
+        .and_then(Json::as_str)
+        .ok_or_else(|| format!("results[{index}]: missing string `{field}`"))
 }
 
 /// Prefixes a performance gate's failure with the gate's name, so a
@@ -427,21 +423,9 @@ pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
     // (rule_count > 0), feeding the rule-scale gate below.
     let mut rule_cells: Vec<(String, u64, f64)> = Vec::new();
     for (i, entry) in results.iter().enumerate() {
-        let strategy = entry
-            .get("strategy")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("results[{i}]: missing `strategy`"))?;
-        let workload = entry
-            .get("workload")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("results[{i}]: missing `workload`"))?;
-        // Harness axis (PR 7): absent = "library" (pre-service artifacts).
-        let mode = match entry.get("mode") {
-            None => "library",
-            Some(v) => v
-                .as_str()
-                .ok_or_else(|| format!("results[{i}]: `mode` must be a string"))?,
-        };
+        let strategy = require_str(entry, "strategy", i)?;
+        let workload = require_str(entry, "workload", i)?;
+        let mode = require_str(entry, "mode", i)?;
         if !matches!(mode, "library" | "service") {
             return Err(format!("results[{i}]: unknown mode `{mode}`"));
         }
@@ -449,11 +433,7 @@ pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
         if batch < 1.0 || batch.fract() != 0.0 {
             return Err(format!("results[{i}]: bad batch_size {batch}"));
         }
-        // `trees` is optional (pre-forest artifacts omit it): absent = 1.
-        let trees = match entry.get("trees") {
-            None => 1.0,
-            Some(_) => require_num(entry, "trees", i)?,
-        };
+        let trees = require_num(entry, "trees", i)?;
         if trees < 1.0 || trees.fract() != 0.0 {
             return Err(format!("results[{i}]: bad trees {trees}"));
         }
@@ -463,21 +443,11 @@ pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
         }
         require_num(entry, "peak_bytes", i)?;
         require_num(entry, "rewrites", i)?;
-        // Scheduler axis (PR 5): absent = "sync" (pre-PR 5 artifacts).
-        let scheduler = match entry.get("scheduler") {
-            None => "sync",
-            Some(v) => v
-                .as_str()
-                .ok_or_else(|| format!("results[{i}]: `scheduler` must be a string"))?,
-        };
-        if !matches!(scheduler, "sync" | "dedicated" | "steal") {
+        let scheduler = require_str(entry, "scheduler", i)?;
+        if !matches!(scheduler, "sync" | "steal") {
             return Err(format!("results[{i}]: unknown scheduler `{scheduler}`"));
         }
-        let scheduler = legacy_scheduler(scheduler);
-        let workers = match entry.get("workers") {
-            None => 0.0,
-            Some(_) => require_num(entry, "workers", i)?,
-        };
+        let workers = require_num(entry, "workers", i)?;
         if workers.fract() != 0.0 {
             return Err(format!("results[{i}]: bad workers {workers}"));
         }
@@ -508,22 +478,15 @@ pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
                 ));
             }
         }
-        // Commit axis (PR 6): absent = "sync" (pre-PR 6 artifacts).
-        let commit = match entry.get("commit") {
-            None => "sync",
-            Some(v) => v
-                .as_str()
-                .ok_or_else(|| format!("results[{i}]: `commit` must be a string"))?,
-        };
+        let commit = require_str(entry, "commit", i)?;
         if !matches!(commit, "sync" | "async") {
-            return Err(format!("results[{i}]: unknown commit mode `{commit}`"));
+            return Err(format!("results[{i}]: unknown commit lag `{commit}`"));
         }
-        let retired = retired_matcher(entry, i)?;
-        // Rule-scale axis (PR 8): absent = the stock paper rule set.
-        let rule_count = match entry.get("rule_count") {
-            None => 0.0,
-            Some(_) => require_num(entry, "rule_count", i)?,
-        };
+        let sessions = require_num(entry, "sessions", i)?;
+        if sessions.fract() != 0.0 {
+            return Err(format!("results[{i}]: bad sessions {sessions}"));
+        }
+        let rule_count = require_num(entry, "rule_count", i)?;
         if rule_count.fract() != 0.0 {
             return Err(format!("results[{i}]: bad rule_count {rule_count}"));
         }
@@ -537,7 +500,7 @@ pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
                 }
             }
         }
-        if rule_count > 0.0 && !retired {
+        if rule_count > 0.0 {
             rule_cells.push((workload.to_string(), rule_count as u64, ns_per_op));
         }
         let worst_window_ns = match entry.get("worst_window_ns") {
@@ -550,8 +513,7 @@ pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
             // Instead the service cell must carry a credible latency
             // distribution: sessions, a positive throughput, and a p99
             // that cannot exceed the worst single op.
-            let sessions = require_num(entry, "sessions", i)?;
-            if sessions < 1.0 || sessions.fract() != 0.0 {
+            if sessions < 1.0 {
                 return Err(format!("results[{i}]: bad service sessions {sessions}"));
             }
             let p99 = require_num(entry, "p99_ns", i)?;
@@ -626,8 +588,8 @@ pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
     tree_counts.sort_unstable();
     // Multi-tree coverage contract: a report sweeping any fleet (trees
     // > 1) must carry both fleet workloads and at least two tree counts
-    // on G, so the scaling axis stays regression-gated. Pre-forest
-    // artifacts (all cells trees == 1, no G/H) still validate.
+    // on G, so the scaling axis stays regression-gated. A single-tree
+    // sweep (all cells trees == 1, no G/H) validates.
     if tree_counts.iter().any(|&t| t > 1) {
         for required in ["G", "H"] {
             if !workloads.iter().any(|w| w == required) {
@@ -649,21 +611,9 @@ pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
     }
     gate("stealing", check_steal_scheduling(&pool_cells))?;
     // Commit-pipeline coverage: a config that promises commit cells
-    // (`commit_workloads` non-empty — every post-PR 6 runner) must
-    // deliver both commit modes for each promised workload. Pre-PR 6
-    // artifacts carry no such config key and stay valid.
-    let promised: Vec<String> = doc
-        .get("config")
-        .and_then(|c| c.get("commit_workloads"))
-        .and_then(Json::as_arr)
-        .map(|arr| {
-            arr.iter()
-                .filter_map(Json::as_str)
-                .map(str::to_string)
-                .collect()
-        })
-        .unwrap_or_default();
-    for workload in &promised {
+    // (`commit_workloads` non-empty) must deliver both commit lags for
+    // each promised workload.
+    for workload in promised(&doc, "commit_workloads").filter_map(Json::as_str) {
         for mode in ["sync", "async"] {
             if !commit_cells
                 .iter()
@@ -678,21 +628,10 @@ pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
     }
     gate("commit-pipeline", check_commit_pipeline(&commit_cells))?;
     // Service coverage: a config that promises daemon cells
-    // (`service_sessions` non-empty — every post-service runner) must
-    // deliver a `mode: "service"` cell at each promised session count.
-    // Pre-service artifacts carry no such config key and stay valid.
-    let promised_sessions: Vec<u64> = doc
-        .get("config")
-        .and_then(|c| c.get("service_sessions"))
-        .and_then(Json::as_arr)
-        .map(|arr| {
-            arr.iter()
-                .filter_map(Json::as_f64)
-                .map(|s| s as u64)
-                .collect()
-        })
-        .unwrap_or_default();
-    for &n in &promised_sessions {
+    // (`service_sessions` non-empty) must deliver a `mode: "service"`
+    // cell at each promised session count.
+    for n in promised(&doc, "service_sessions").filter_map(Json::as_f64) {
+        let n = n as u64;
         if !service_cells.iter().any(|&(s, _, _)| s == n) {
             return Err(format!(
                 "config promises a service cell at {n} sessions but none exists"
@@ -700,21 +639,10 @@ pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
         }
     }
     // Rule-scale coverage: a config that promises rule-scale cells
-    // (`rule_scale` non-empty — every post-automaton runner) must
-    // deliver workloads A and G at each promised probe count.
-    // Pre-automaton artifacts carry no such key and stay valid.
-    let promised_rules: Vec<u64> = doc
-        .get("config")
-        .and_then(|c| c.get("rule_scale"))
-        .and_then(Json::as_arr)
-        .map(|arr| {
-            arr.iter()
-                .filter_map(Json::as_f64)
-                .map(|r| r as u64)
-                .collect()
-        })
-        .unwrap_or_default();
-    for &r in &promised_rules {
+    // (`rule_scale` non-empty) must deliver workloads A and G at each
+    // promised probe count.
+    for r in promised(&doc, "rule_scale").filter_map(Json::as_f64) {
+        let r = r as u64;
         for workload in ["A", "G"] {
             if !rule_cells.iter().any(|c| c.0 == workload && c.1 == r) {
                 return Err(format!(
@@ -740,29 +668,14 @@ pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
     })
 }
 
-/// True for a cell of the retired `matcher: "per-rule"` axis. Artifacts
-/// from before the per-rule matcher was deleted carry such twins of
-/// their rule-scale cells; they still validate, but no gate or
-/// comparison reads them. An absent `matcher` (every current and every
-/// pre-automaton artifact) is the compiled matcher.
-fn retired_matcher(entry: &Json, i: usize) -> Result<bool, String> {
-    match entry.get("matcher").map(Json::as_str) {
-        None | Some(Some("compiled")) => Ok(false),
-        Some(Some("per-rule")) => Ok(true),
-        Some(Some(other)) => Err(format!("results[{i}]: unknown matcher `{other}`")),
-        Some(None) => Err(format!("results[{i}]: `matcher` must be a string")),
-    }
-}
-
-/// Artifacts before the fleet runtime was unified label the
-/// one-worker-per-shard baseline `"dedicated"`; it is the stealing pool
-/// with `workers == trees`, and is keyed (and gated) as one.
-fn legacy_scheduler(scheduler: &str) -> &str {
-    if scheduler == "dedicated" {
-        "steal"
-    } else {
-        scheduler
-    }
+/// The entries of the config list `key`: what the sweep promised on
+/// that axis (nothing when the list is empty or absent).
+fn promised<'a>(doc: &'a Json, key: &str) -> impl Iterator<Item = &'a Json> {
+    doc.get("config")
+        .and_then(|c| c.get(key))
+        .and_then(Json::as_arr)
+        .unwrap_or_default()
+        .iter()
 }
 
 /// How much slower than the one-worker-per-shard baseline a smaller
@@ -968,8 +881,9 @@ fn check_fleet_scaling(g_cells: &[(String, u64, u64, f64)]) -> Result<(), String
 /// [`compare_reports`]: 15% slower than the baseline fails.
 pub const DEFAULT_REGRESSION_THRESHOLD: f64 = 0.15;
 
-/// One (strategy, workload, batch size, trees, scheduler, workers)
-/// cell's before/after latency.
+/// One cell's before/after latency, keyed by `(strategy, workload,
+/// batch_size, trees, scheduler, workers, commit, mode, sessions,
+/// rule_count)`.
 #[derive(Debug, Clone)]
 pub struct CellDelta {
     /// Strategy label.
@@ -984,10 +898,10 @@ pub struct CellDelta {
     pub scheduler: String,
     /// Background workers (0 for sync cells).
     pub workers: u64,
-    /// Commit pipeline (`"sync"` for inline-apply cells).
+    /// Commit lag (`"sync"` = lag 0, `"async"` = lag 1).
     pub commit: String,
     /// Harness (`"library"` for in-process cells, `"service"` for
-    /// daemon cells; pre-service artifacts key as `"library"`).
+    /// daemon cells).
     pub mode: String,
     /// Concurrent daemon sessions (0 for library cells).
     pub sessions: u64,
@@ -1004,6 +918,22 @@ impl CellDelta {
     pub fn ratio(&self) -> f64 {
         self.new_ns / self.old_ns
     }
+
+    #[allow(clippy::type_complexity)]
+    fn key(&self) -> (&str, &str, u64, u64, &str, u64, &str, &str, u64, u64) {
+        (
+            &self.strategy,
+            &self.workload,
+            self.batch_size,
+            self.trees,
+            &self.scheduler,
+            self.workers,
+            &self.commit,
+            &self.mode,
+            self.sessions,
+            self.rule_count,
+        )
+    }
 }
 
 /// The outcome of a trend comparison between two valid reports.
@@ -1013,9 +943,6 @@ pub struct Comparison {
     pub cells: Vec<CellDelta>,
     /// The tolerance regressions were judged against.
     pub threshold: f64,
-    /// Baseline cells of the retired `matcher: "per-rule"` axis, which
-    /// have no counterpart to compare against.
-    pub skipped_per_rule: usize,
 }
 
 impl Comparison {
@@ -1032,93 +959,41 @@ impl Comparison {
     }
 }
 
-/// One parsed result row: `(strategy, workload, batch, trees,
-/// scheduler, workers, commit, mode, sessions, rule_count, ns_per_op)`.
-type RawCell = (
-    String,
-    String,
-    u64,
-    u64,
-    String,
-    u64,
-    String,
-    String,
-    u64,
-    u64,
-    f64,
-);
-
-/// Every comparable cell of a valid report, plus how many retired
-/// `matcher: "per-rule"` cells were left out.
-fn collect_cells(text: &str, which: &str) -> Result<(Vec<RawCell>, usize), String> {
+/// Every cell of a valid report, its ns/op on both sides.
+fn collect_cells(text: &str, which: &str) -> Result<Vec<CellDelta>, String> {
     validate_report(text).map_err(|e| format!("{which} report: {e}"))?;
     let doc = Json::parse(text).expect("validated above");
     let results = doc
         .get("results")
         .and_then(Json::as_arr)
         .expect("validated");
-    let (retired, current): (Vec<&Json>, Vec<&Json>) = results
+    Ok(results
         .iter()
-        .partition(|entry| retired_matcher(entry, 0).expect("validated"));
-    let cells = current
-        .into_iter()
         .map(|entry| {
-            (
+            let text = |field| {
                 entry
-                    .get("strategy")
+                    .get(field)
                     .and_then(Json::as_str)
                     .expect("validated")
-                    .to_string(),
-                entry
-                    .get("workload")
-                    .and_then(Json::as_str)
-                    .expect("validated")
-                    .to_string(),
-                entry
-                    .get("batch_size")
-                    .and_then(Json::as_f64)
-                    .expect("validated") as u64,
-                // Pre-forest artifacts carry no `trees`: key them as 1
-                // so their cells pair with the candidate's single-tree
-                // cells.
-                entry.get("trees").and_then(Json::as_f64).unwrap_or(1.0) as u64,
-                // Pre-PR 5 artifacts carry no scheduler axis: they are
-                // sync cells with no background workers.
-                legacy_scheduler(
-                    entry
-                        .get("scheduler")
-                        .and_then(Json::as_str)
-                        .unwrap_or("sync"),
-                )
-                .to_string(),
-                entry.get("workers").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-                // Pre-PR 6 artifacts carry no commit axis: inline apply.
-                entry
-                    .get("commit")
-                    .and_then(Json::as_str)
-                    .unwrap_or("sync")
-                    .to_string(),
-                // Pre-service artifacts carry no harness axis: library.
-                entry
-                    .get("mode")
-                    .and_then(Json::as_str)
-                    .unwrap_or("library")
-                    .to_string(),
-                entry.get("sessions").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-                // Pre-automaton artifacts carry no rule-scale axis: every
-                // cell keys as the stock rules.
-                entry
-                    .get("rule_count")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0) as u64,
-                entry
-                    .get("ns_per_op")
-                    .and_then(Json::as_f64)
-                    .expect("validated"),
-            )
+                    .to_string()
+            };
+            let num = |field| entry.get(field).and_then(Json::as_f64).expect("validated");
+            CellDelta {
+                strategy: text("strategy"),
+                workload: text("workload"),
+                batch_size: num("batch_size") as u64,
+                trees: num("trees") as u64,
+                scheduler: text("scheduler"),
+                workers: num("workers") as u64,
+                commit: text("commit"),
+                mode: text("mode"),
+                sessions: num("sessions") as u64,
+                rule_count: num("rule_count") as u64,
+                old_ns: num("ns_per_op"),
+                new_ns: num("ns_per_op"),
+            }
         })
-        .collect();
-    Ok((cells, retired.len()))
+        .collect())
 }
 
 /// Scale knobs that must agree for two reports' ns/op to be comparable
@@ -1148,15 +1023,13 @@ fn check_configs_comparable(old_text: &str, new_text: &str) -> Result<(), String
     Ok(())
 }
 
-/// Per-cell ns/op trend gate: pairs `old` and `new` results by
-/// `(strategy, workload, batch_size, trees, scheduler, workers,
-/// commit, mode, sessions, rule_count)` and reports every shared cell's
-/// latency ratio. Baseline cells of the retired `matcher: "per-rule"`
-/// axis are skipped and counted in [`Comparison::skipped_per_rule`]. Errors on invalid reports, on mismatched
-/// experiment scale (records/ops/seed/crack_threshold must agree —
-/// ratios between different scales measure the scale, not the code), or
-/// when a baseline cell is missing from the candidate (coverage must
-/// never silently shrink); cells only present in the candidate are new
+/// Per-cell ns/op trend gate: pairs `old` and `new` results by their
+/// full key and reports every shared cell's latency ratio. Errors on
+/// invalid reports, on mismatched experiment scale
+/// (records/ops/seed/crack_threshold must agree — ratios between
+/// different scales measure the scale, not the code), or when a
+/// baseline cell is missing from the candidate (coverage must never
+/// silently shrink); cells only present in the candidate are new
 /// coverage and pass. The caller decides pass/fail via
 /// [`Comparison::passed`].
 pub fn compare_reports(
@@ -1167,67 +1040,36 @@ pub fn compare_reports(
     if !threshold.is_finite() || threshold < 0.0 {
         return Err(format!("threshold must be finite and ≥ 0, got {threshold}"));
     }
-    let (old_cells, skipped_per_rule) = collect_cells(old_text, "baseline")?;
-    let (new_cells, _) = collect_cells(new_text, "candidate")?;
+    let old_cells = collect_cells(old_text, "baseline")?;
+    let new_cells = collect_cells(new_text, "candidate")?;
     check_configs_comparable(old_text, new_text)?;
-    let mut cells = Vec::with_capacity(old_cells.len());
-    #[allow(clippy::type_complexity)]
-    for (
-        strategy,
-        workload,
-        batch_size,
-        trees,
-        scheduler,
-        workers,
-        commit,
-        mode,
-        sessions,
-        rule_count,
-        old_ns,
-    ) in old_cells
-    {
-        let new_ns = new_cells
-            .iter()
-            .find(|(s, w, b, t, sched, wk, cm, md, sn, rc, _)| {
-                *s == strategy
-                    && *w == workload
-                    && *b == batch_size
-                    && *t == trees
-                    && *sched == scheduler
-                    && *wk == workers
-                    && *cm == commit
-                    && *md == mode
-                    && *sn == sessions
-                    && *rc == rule_count
-            })
-            .map(|&(_, _, _, _, _, _, _, _, _, _, ns)| ns)
-            .ok_or_else(|| {
-                format!(
-                    "cell {strategy}/{workload}/K={batch_size}/T={trees}/{scheduler}/W={workers}\
-                     /{commit}/{mode}/S={sessions}/R={rule_count} present in baseline, \
-                     missing from candidate"
-                )
-            })?;
-        cells.push(CellDelta {
-            strategy,
-            workload,
-            batch_size,
-            trees,
-            scheduler,
-            workers,
-            commit,
-            mode,
-            sessions,
-            rule_count,
-            old_ns,
-            new_ns,
-        });
-    }
-    Ok(Comparison {
-        cells,
-        threshold,
-        skipped_per_rule,
-    })
+    let cells = old_cells
+        .into_iter()
+        .map(|mut cell| {
+            let new = new_cells
+                .iter()
+                .find(|c| c.key() == cell.key())
+                .ok_or_else(|| {
+                    format!(
+                        "cell {}/{}/K={}/T={}/{}/W={}/{}/{}/S={}/R={} present in baseline, \
+                         missing from candidate",
+                        cell.strategy,
+                        cell.workload,
+                        cell.batch_size,
+                        cell.trees,
+                        cell.scheduler,
+                        cell.workers,
+                        cell.commit,
+                        cell.mode,
+                        cell.sessions,
+                        cell.rule_count
+                    )
+                })?;
+            cell.new_ns = new.new_ns;
+            Ok(cell)
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    Ok(Comparison { cells, threshold })
 }
 
 #[cfg(test)]
@@ -1242,7 +1084,6 @@ mod tests {
                 ops: 8,
                 crack_threshold: 16,
                 seed: 1,
-                async_commit: false,
             },
             batch_sizes: vec![1, 8, 64],
             workloads: vec!['A'],
@@ -1313,38 +1154,6 @@ mod tests {
             }
         }
         out
-    }
-
-    /// `text` with a retired `matcher: "per-rule"` twin (10× slower)
-    /// appended for every rule-scale cell, the way artifacts from
-    /// before the per-rule matcher was deleted look.
-    fn with_per_rule_twins(text: &str) -> String {
-        let Json::Obj(mut doc) = Json::parse(text).unwrap() else {
-            panic!("report is an object");
-        };
-        let (_, Json::Arr(results)) = doc.iter_mut().find(|(k, _)| k == "results").unwrap() else {
-            panic!("results is an array");
-        };
-        let twins: Vec<Json> = results
-            .iter()
-            .filter(|r| r.get("rule_count").and_then(Json::as_f64) > Some(0.0))
-            .map(|r| {
-                let Json::Obj(fields) = r else {
-                    panic!("cell is an object")
-                };
-                let mut fields: Vec<(String, Json)> = fields
-                    .iter()
-                    .map(|(k, v)| match k.as_str() {
-                        "ns_per_op" => (k.clone(), Json::Num(v.as_f64().unwrap() * 10.0)),
-                        _ => (k.clone(), v.clone()),
-                    })
-                    .collect();
-                fields.push(("matcher".to_string(), Json::Str("per-rule".to_string())));
-                Json::Obj(fields)
-            })
-            .collect();
-        results.extend(twins);
-        Json::Obj(doc).render()
     }
 
     /// A daemon cell: `sessions` concurrent sessions on workload S.
@@ -1459,15 +1268,6 @@ mod tests {
         results.push(pool_cell(4, 40_000));
         results.push(pool_cell(2, 11_000));
         validate_report(&render_report(&fleet_sweep(), &results)).unwrap();
-        // A legacy "dedicated" cell is the baseline pool it stood for.
-        let mut results = fake_fleet_results();
-        results.push(BatchRunResult {
-            scheduler: "dedicated",
-            ..pool_cell(8, 12_000)
-        });
-        results.push(pool_cell(2, 40_000));
-        let err = validate_report(&render_report(&fleet_sweep(), &results)).unwrap_err();
-        assert!(err.contains("stealing regression"), "{err}");
     }
 
     #[test]
@@ -1532,13 +1332,13 @@ mod tests {
         // …and does validate once both twins exist.
         results.push(commit_cell("async", 12_500, 3_000));
         validate_report(&render_report(&promised, &results)).unwrap();
-        // An empty promise (pre-PR 6 artifacts and sync-only sweeps)
-        // demands nothing.
+        // An empty promise (a sweep without commit twins) demands
+        // nothing.
         validate_report(&render_report(&fleet_sweep(), &fake_fleet_results())).unwrap();
     }
 
     #[test]
-    fn compare_keys_cells_by_commit_mode() {
+    fn compare_keys_cells_by_commit_lag() {
         // The two commit twins share every other key coordinate; the
         // commit axis must keep them apart.
         let mut results = fake_fleet_results();
@@ -1581,7 +1381,7 @@ mod tests {
         });
         let err = validate_report(&render_report(&promised, &bad)).unwrap_err();
         assert!(err.contains("tail is inconsistent"), "{err}");
-        // An empty promise (pre-service artifacts) demands nothing.
+        // An empty promise (a sweep without the axis) demands nothing.
         validate_report(&render_report(&fleet_sweep(), &fake_fleet_results())).unwrap();
     }
 
@@ -1613,12 +1413,7 @@ mod tests {
         promised.rule_scale = vec![4, 64];
         let mut results = fake_results();
         results.extend(full_rule_cells(&[4, 64]));
-        let text = render_report(&promised, &results);
-        validate_report(&text).unwrap();
-        assert!(!text.contains("matcher"), "the matcher axis is retired");
-        // Retired per-rule twins still validate, and enter no gate: ten
-        // times slower at every R would trip nothing.
-        validate_report(&with_per_rule_twins(&text)).unwrap();
+        validate_report(&render_report(&promised, &results)).unwrap();
         // A config promising R = {4, 64} but delivering no rule-scale
         // cells fails…
         let err = validate_report(&render_report(&promised, &fake_results())).unwrap_err();
@@ -1633,7 +1428,7 @@ mod tests {
         let err = validate_report(&render_report(&promised, &partial)).unwrap_err();
         assert!(err.contains("`G`"), "{err}");
         assert!(err.contains("R=64"), "{err}");
-        // An empty promise (pre-automaton artifacts) demands nothing.
+        // An empty promise (a sweep without the axis) demands nothing.
         validate_report(&render_report(&sweep(), &fake_results())).unwrap();
     }
 
@@ -1671,18 +1466,18 @@ mod tests {
 
     #[test]
     fn compare_keys_cells_by_matcher_and_rule_count() {
-        // A baseline from before the matcher axis was retired carries
-        // per-rule twins; the candidate has none. The matcher tag keeps
-        // them from pairing with the compiled cells: compare skips and
-        // counts them rather than reporting lost coverage.
+        // Every cell searches through the compiled automaton, so the
+        // report carries no matcher axis; a rule-scale cell shares every
+        // other key coordinate with a stock cell, and the rule-count
+        // axis must keep them apart.
         let mut promised = sweep();
         promised.rule_scale = vec![4];
         let mut results = fake_results();
         results.extend(full_rule_cells(&[4]));
         let text = render_report(&promised, &results);
-        let cmp = compare_reports(&with_per_rule_twins(&text), &text, 0.15).unwrap();
+        assert!(!text.contains("matcher"), "no matcher axis");
+        let cmp = compare_reports(&text, &text, 0.15).unwrap();
         assert!(cmp.passed());
-        assert_eq!(cmp.skipped_per_rule, 2, "one twin per workload");
         let scaled: Vec<&CellDelta> = cmp.cells.iter().filter(|c| c.rule_count > 0).collect();
         assert_eq!(scaled.len(), 2, "one compiled cell per workload pairs");
         assert!(scaled.iter().all(|c| c.ratio() == 1.0));
@@ -1772,15 +1567,6 @@ mod tests {
         assert!(pooled.iter().all(|c| c.scheduler == "steal"));
         assert!(pooled.iter().any(|c| c.workers == 8));
         assert!(pooled.iter().any(|c| c.workers == 2));
-        // A legacy "dedicated" baseline pairs with the 8-worker pool.
-        let mut legacy = fake_fleet_results();
-        legacy.push(BatchRunResult {
-            scheduler: "dedicated",
-            ..pool_cell(8, 12_000)
-        });
-        legacy.push(pool_cell(2, 10_000));
-        let old = render_report(&fleet_sweep(), &legacy);
-        assert!(compare_reports(&old, &text, 0.15).unwrap().passed());
         // Losing just the stealing cell is reported with its full key.
         let mut lost = fake_fleet_results();
         lost.push(pool_cell(8, 12_000));
@@ -1799,6 +1585,39 @@ mod tests {
         let text = render_report(&sweep(), &results);
         let err = validate_report(&text).unwrap_err();
         assert!(err.contains("TT"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_a_row_missing_a_key_field() {
+        let text = render_report(&sweep(), &fake_results());
+        validate_report(&text).unwrap();
+        for field in [
+            "strategy",
+            "workload",
+            "batch_size",
+            "trees",
+            "scheduler",
+            "workers",
+            "commit",
+            "mode",
+            "sessions",
+            "rule_count",
+        ] {
+            let Json::Obj(mut doc) = Json::parse(&text).unwrap() else {
+                panic!("report is an object");
+            };
+            let (_, Json::Arr(results)) = doc.iter_mut().find(|(k, _)| k == "results").unwrap()
+            else {
+                panic!("results is an array");
+            };
+            let Json::Obj(row) = &mut results[3] else {
+                panic!("a row is an object");
+            };
+            row.retain(|(k, _)| k != field);
+            let err = validate_report(&Json::Obj(doc).render()).unwrap_err();
+            assert!(err.contains("results[3]"), "{field}: {err}");
+            assert!(err.contains(&format!("`{field}`")), "{field}: {err}");
+        }
     }
 
     #[test]

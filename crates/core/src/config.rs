@@ -14,14 +14,13 @@
 //! | `TT_OPS`             | 1000    | [`EngineConfig::ops`]              |
 //! | `TT_CRACK_THRESHOLD` | 64      | [`EngineConfig::crack_threshold`]  |
 //! | `TT_SEED`            | 42      | [`EngineConfig::seed`]             |
-//! | `TT_ASYNC_COMMIT`    | 0       | [`EngineConfig::async_commit`]     |
 //! | `TT_SESSIONS`        | 64      | [`FleetConfig::sessions`]          |
 //! | `TT_WORKERS`         | 2       | [`FleetConfig::workers`]           |
 //! | `TT_HEAT_THRESHOLD`  | 1       | [`FleetConfig::heat_threshold`]    |
 //!
-//! `TT_ASYNC_COMMIT` moves only the bench's epoch drivers: the
-//! `tt-serve` daemon always pipelines its commits (`Daemon::new` runs
-//! its fleet in `CommitMode::Async` whatever the field says).
+//! No knob sets a commit lag: each caller picks it per epoch close
+//! (`AsyncJitd::commit_on` lands at once, `AsyncJitd::submit_commit_on`
+//! hands the seal to the fleet's committer).
 
 /// Reads an integer environment knob (unset or unparsable → default).
 pub fn env_u64(name: &str, default: u64) -> u64 {
@@ -31,7 +30,7 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Scale and epoch-discipline configuration for one engine run.
+/// Scale configuration for one engine run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Preloaded record count.
@@ -42,14 +41,6 @@ pub struct EngineConfig {
     pub crack_threshold: usize,
     /// Master seed.
     pub seed: u64,
-    /// Pipelined epoch commits in the bench's epoch drivers
-    /// (`tt_bench`): when set, they close each epoch with a *seal*
-    /// (`submit_commit`) instead of an inline `commit_batch`, and the
-    /// sealed epoch lands one epoch later (the strategies'
-    /// one-epoch-in-flight backpressure keeps ordering; a final drain
-    /// lands the last epoch). Off by default. The `tt-serve` daemon
-    /// ignores it: it always pipelines.
-    pub async_commit: bool,
 }
 
 impl Default for EngineConfig {
@@ -59,21 +50,19 @@ impl Default for EngineConfig {
             ops: 1_000,
             crack_threshold: 64,
             seed: 42,
-            async_commit: false,
         }
     }
 }
 
 impl EngineConfig {
     /// Reads the configuration from the environment (the only place the
-    /// `TT_RECORDS`…`TT_ASYNC_COMMIT` knobs are parsed).
+    /// `TT_RECORDS`…`TT_SEED` knobs are parsed).
     pub fn from_env() -> EngineConfig {
         EngineConfig {
             records: env_u64("TT_RECORDS", 20_000),
             ops: env_u64("TT_OPS", 1_000) as usize,
             crack_threshold: env_u64("TT_CRACK_THRESHOLD", 64) as usize,
             seed: env_u64("TT_SEED", 42),
-            async_commit: env_u64("TT_ASYNC_COMMIT", 0) != 0,
         }
     }
 
@@ -100,21 +89,12 @@ impl EngineConfig {
         self.seed = seed;
         self
     }
-
-    /// Enables or disables the pipelined (seal + background apply)
-    /// commit discipline.
-    pub fn async_commit(mut self, on: bool) -> EngineConfig {
-        self.async_commit = on;
-        self
-    }
 }
 
 /// A sharded deployment on top of an [`EngineConfig`]: how many session
 /// shards exist and how the shared worker pool drains them. Plain data —
 /// the daemon maps `workers`/`heat_threshold` onto the `jitd` crate's
-/// `StealConfig`. Its commit mode is not configurable: the daemon always
-/// runs `CommitMode::Async` (the engine's `async_commit` moves only the
-/// bench's epoch drivers).
+/// `StealConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetConfig {
     /// Per-shard engine configuration.
@@ -192,7 +172,6 @@ mod tests {
         assert_eq!(d.ops, 1_000);
         assert_eq!(d.crack_threshold, 64);
         assert_eq!(d.seed, 42);
-        assert!(!d.async_commit);
     }
 
     #[test]
@@ -201,13 +180,11 @@ mod tests {
             .records(256)
             .ops(30)
             .crack_threshold(32)
-            .seed(7)
-            .async_commit(true);
+            .seed(7);
         assert_eq!(cfg.records, 256);
         assert_eq!(cfg.ops, 30);
         assert_eq!(cfg.crack_threshold, 32);
         assert_eq!(cfg.seed, 7);
-        assert!(cfg.async_commit);
 
         let fleet = FleetConfig::default()
             .engine(cfg)

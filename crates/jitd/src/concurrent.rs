@@ -19,7 +19,16 @@
 //!   epochs itself ([`drain_commits`]), which makes every schedule
 //!   deterministic. `n > 0` starts a pool of `n` threads that claim
 //!   shards with a try-lock (a held shard is requeued and skipped, so it
-//!   never blocks the pool) and park on the queue when it is empty.
+//!   never blocks the pool) and park on the queue when it is empty,
+//!   plus one committer thread that lands sealed epochs.
+//!
+//! Epochs close through one pipeline, and the caller picks the lag per
+//! call: [`submit_commit_on`] seals the epoch and hands it to the
+//! committer (lag 1), while [`commit_on`] seals and lands it under one
+//! lock acquisition (lag 0). Every landing — the committer's,
+//! [`drain_commits`], [`commit_on`] and [`stop`] — runs one body
+//! (`Shared::land`), which publishes the shard's generation and counts
+//! the epoch in [`commits_applied`].
 //!
 //! Locking is per shard in every configuration: a reorganization round
 //! on shard 0 never blocks an operation (or a round) on shard 1. Under
@@ -29,6 +38,10 @@
 //!
 //! [`reorganize_pending`]: AsyncJitd::reorganize_pending
 //! [`drain_commits`]: AsyncJitd::drain_commits
+//! [`submit_commit_on`]: AsyncJitd::submit_commit_on
+//! [`commit_on`]: AsyncJitd::commit_on
+//! [`stop`]: AsyncJitd::stop
+//! [`commits_applied`]: AsyncJitd::commits_applied
 
 use crate::runtime::Jitd;
 use crate::steal::{StealConfig, StealStats, WorkQueue};
@@ -38,25 +51,6 @@ use std::sync::Arc;
 use std::time::Duration;
 use tt_ast::Record;
 use tt_ycsb::Op;
-
-/// How epoch commits reach the shards' views.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CommitMode {
-    /// [`submit_commit_on`](AsyncJitd::submit_commit_on) applies the
-    /// epoch inline on the calling thread (classic `commit_batch`).
-    #[default]
-    Sync,
-    /// `submit_commit_on` only *seals* the epoch under the shard lock
-    /// and leaves the apply to a committer — a background thread when
-    /// the fleet runs a pool, the caller's own
-    /// [`drain_commits`](AsyncJitd::drain_commits) otherwise; the
-    /// caller returns with the apply cost still unpaid. Readers keep
-    /// seeing a consistent state throughout: the sealed buffer stays
-    /// part of the shard's overlay until it lands atomically under the
-    /// shard mutex, at which point the shard's committed generation
-    /// advances.
-    Async,
-}
 
 /// Heartbeat for parked workers: an idle worker rechecks its stop flag
 /// at least this often even if every notification were lost. Parking
@@ -72,17 +66,16 @@ struct Shared {
     /// Pool size (0 = the caller drains inline); the home-worker base
     /// of the steal ledger.
     workers: usize,
-    /// Present while a committer thread runs ([`CommitMode::Async`]
-    /// with a pool): shard ids with a sealed epoch awaiting it (dedup
-    /// per shard, like the reorg queue — two submits before the
-    /// committer runs fold into one apply, which is exactly the
-    /// strategy-level backpressure).
+    /// Present while a committer thread runs (a fleet with a pool):
+    /// shard ids with a sealed epoch awaiting it (dedup per shard, like
+    /// the reorg queue — two submits before the committer runs fold into
+    /// one apply, which is exactly the strategy-level backpressure).
     commit_queue: Option<WorkQueue>,
     /// Per-shard committed-generation counters: bumped (with `Release`)
-    /// after a committer lands a sealed epoch, so observers can watch
-    /// generations publish without taking shard locks.
+    /// by every landing, so observers can watch generations publish
+    /// without taking shard locks.
     generations: Vec<AtomicU64>,
-    /// Sealed epochs landed by committers (fleet-wide).
+    /// Epochs landed through [`Shared::land`] (fleet-wide).
     commits_applied: AtomicU64,
 }
 
@@ -108,13 +101,15 @@ impl Shared {
         fired as u64
     }
 
-    /// Lands `shard`'s sealed epoch, if any, and publishes its
-    /// generation. Whoever reaches the shard first applies; a later
-    /// toucher finds the slot empty and no-ops, so committers may race.
-    fn land(&self, shard: usize) -> bool {
-        let mut jitd = self.shards[shard].lock();
-        let committed = jitd.apply_submitted();
-        if committed {
+    /// The one landing body, whoever lands: runs `apply` on the claimed
+    /// `shard` and, if an epoch landed, publishes the shard's generation.
+    /// `apply` is [`Jitd::apply_submitted`] at lag 1 (the sealed epoch,
+    /// if any: whoever reaches it first lands it and a later toucher
+    /// no-ops, so landings may race) or [`Jitd::commit_batch`] at lag 0
+    /// (seal and land the open epoch).
+    fn land(&self, shard: usize, jitd: &mut Jitd, apply: fn(&mut Jitd) -> bool) -> bool {
+        let landed = apply(jitd);
+        if landed {
             // Published before the shard unlocks: a reader that Acquires
             // the bumped generation sees the fully applied epoch, and a
             // probe that finds the seal gone (under the lock) finds the
@@ -122,7 +117,12 @@ impl Shared {
             self.generations[shard].fetch_add(1, Ordering::Release);
             self.commits_applied.fetch_add(1, Ordering::Relaxed);
         }
-        committed
+        landed
+    }
+
+    /// Lands `shard`'s sealed epoch, if any (lag 1).
+    fn land_sealed(&self, shard: usize) -> bool {
+        self.land(shard, &mut self.shards[shard].lock(), Jitd::apply_submitted)
     }
 }
 
@@ -131,7 +131,6 @@ impl Shared {
 pub struct AsyncJitd {
     shared: Arc<Shared>,
     threads: Vec<std::thread::JoinHandle<u64>>,
-    commit: CommitMode,
 }
 
 impl AsyncJitd {
@@ -139,12 +138,11 @@ impl AsyncJitd {
     /// shard `i`), which must share one `Arc<RuleSet>`. Shards that
     /// already hold matches start queued. `steal.workers == 0` starts
     /// no thread at all (the caller drains with
-    /// [`reorganize_pending`](AsyncJitd::reorganize_pending) and, under
-    /// [`CommitMode::Async`], lands seals with
-    /// [`drain_commits`](AsyncJitd::drain_commits)); otherwise a pool of
-    /// `steal.workers` threads drains the queue, plus one committer
-    /// thread under [`CommitMode::Async`].
-    pub fn spawn(mut shards: Vec<Jitd>, steal: StealConfig, commit: CommitMode) -> AsyncJitd {
+    /// [`reorganize_pending`](AsyncJitd::reorganize_pending) and lands
+    /// seals with [`drain_commits`](AsyncJitd::drain_commits));
+    /// otherwise a pool of `steal.workers` threads drains the queue and
+    /// one committer thread lands seals.
+    pub fn spawn(mut shards: Vec<Jitd>, steal: StealConfig) -> AsyncJitd {
         assert!(!shards.is_empty(), "need at least one shard");
         assert!(
             shards
@@ -168,8 +166,7 @@ impl AsyncJitd {
             workers: steal.workers,
             // Threshold 1: a submit always enqueues (dedup still folds
             // re-submits of the same shard into one pending apply).
-            commit_queue: (steal.workers > 0 && commit == CommitMode::Async)
-                .then(|| WorkQueue::new(count, 1)),
+            commit_queue: (steal.workers > 0).then(|| WorkQueue::new(count, 1)),
             generations: (0..count).map(|_| AtomicU64::new(0)).collect(),
             commits_applied: AtomicU64::new(0),
         });
@@ -183,21 +180,12 @@ impl AsyncJitd {
             let shared = shared.clone();
             threads.push(std::thread::spawn(move || committer(&shared)));
         }
-        AsyncJitd {
-            shared,
-            threads,
-            commit,
-        }
+        AsyncJitd { shared, threads }
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shared.shards.len()
-    }
-
-    /// The commit pipeline this fleet runs.
-    pub fn commit_mode(&self) -> CommitMode {
-        self.commit
     }
 
     /// Drains the work queue on the calling thread until it is empty or
@@ -224,27 +212,32 @@ impl AsyncJitd {
         self.shared.shards[shard].lock().begin_batch();
     }
 
-    /// Closes one shard's open epoch. Under [`CommitMode::Sync`] the
-    /// epoch is applied inline (classic `commit_batch`); under
-    /// [`CommitMode::Async`] it is only *sealed* under the shard lock
-    /// and, when a committer thread runs, the shard id is queued for it
-    /// (the enqueue wakes it); the caller returns without paying the
-    /// apply.
+    /// Closes one shard's open epoch at lag 1: seals it under the shard
+    /// lock and, when a committer thread runs, queues the shard id for
+    /// it (the enqueue wakes it); the caller returns without paying the
+    /// apply. An inline fleet lands the seal at its next
+    /// [`drain_commits`](AsyncJitd::drain_commits). Readers keep seeing
+    /// a consistent state throughout: the sealed epoch stays part of the
+    /// shard's overlay until it lands.
     pub fn submit_commit_on(&self, shard: usize) {
-        let mut jitd = self.shared.shards[shard].lock();
-        match self.commit {
-            CommitMode::Sync => jitd.commit_batch(),
-            CommitMode::Async => {
-                let sealed = jitd.submit_commit();
-                drop(jitd);
-                if let (true, Some(queue)) = (sealed, &self.shared.commit_queue) {
-                    queue.enqueue(shard);
-                }
-            }
+        let sealed = self.shared.shards[shard].lock().submit_commit();
+        if let (true, Some(queue)) = (sealed, &self.shared.commit_queue) {
+            queue.enqueue(shard);
         }
     }
 
-    /// The number of sealed epochs landed on `shard`. Published with
+    /// Closes one shard's open epoch at lag 0: seals and lands it (and
+    /// any older seal, which lands first) under one lock acquisition,
+    /// so the caller pays the apply. Counted like every other landing.
+    pub fn commit_on(&self, shard: usize) {
+        self.shared.land(
+            shard,
+            &mut self.shared.shards[shard].lock(),
+            Jitd::commit_batch,
+        );
+    }
+
+    /// The number of epochs landed on `shard`. Published with
     /// `Release` after the apply completes, so a reader that observes
     /// generation `g` here will observe all of epoch `g`'s view deltas
     /// through the shard lock.
@@ -252,10 +245,10 @@ impl AsyncJitd {
         self.shared.generations[shard].load(Ordering::Acquire)
     }
 
-    /// Fleet-wide count of sealed epochs landed (0 under
-    /// [`CommitMode::Sync`]). The overlap witness: a nonzero reading
-    /// while the op stream is still running proves commits ran off the
-    /// query path.
+    /// Fleet-wide count of epochs landed, at either lag. An epoch that
+    /// a later seal's one-in-flight backpressure lands inline is not
+    /// counted. With lag-1 closes only, a nonzero reading while the op
+    /// stream is still running proves commits ran off the query path.
     pub fn commits_applied(&self) -> u64 {
         self.shared.commits_applied.load(Ordering::Relaxed)
     }
@@ -269,7 +262,7 @@ impl AsyncJitd {
     /// epochs landed here.
     pub fn drain_commits(&self) -> u64 {
         (0..self.shared.shards.len())
-            .filter(|&shard| self.shared.land(shard))
+            .filter(|&shard| self.shared.land_sealed(shard))
             .count() as u64
     }
 
@@ -281,8 +274,7 @@ impl AsyncJitd {
     /// mid-apply nor the stale id a first toucher's apply leaves in the
     /// commit queue reads as pending work.
     pub fn commits_pending(&self) -> bool {
-        self.commit == CommitMode::Async
-            && (0..self.shared.shards.len()).any(|s| self.with_shard(s, |j| j.has_submitted()))
+        (0..self.shared.shards.len()).any(|s| self.with_shard(s, |j| j.has_submitted()))
     }
 
     /// Shards currently queued for reorganization.
@@ -402,16 +394,14 @@ impl AsyncJitd {
     /// never drained) are landed on the way out.
     pub fn stop(mut self) -> (Vec<Jitd>, u64) {
         let applied = self.join_threads();
+        self.drain_commits();
         // The threads have exited and hold no references; unwrap the
         // runtimes. (`self` implements Drop, so move the Arc out by hand.)
         let shared = self.shared.clone();
         drop(self);
         let shared = Arc::try_unwrap(shared)
             .unwrap_or_else(|_| panic!("outstanding handles to the runtime"));
-        let mut runtimes: Vec<Jitd> = shared.shards.into_iter().map(Mutex::into_inner).collect();
-        for jitd in &mut runtimes {
-            jitd.apply_submitted();
-        }
+        let runtimes = shared.shards.into_iter().map(Mutex::into_inner).collect();
         (runtimes, applied)
     }
 }
@@ -468,7 +458,7 @@ fn committer(shared: &Shared) -> u64 {
     let queue = shared
         .commit_queue
         .as_ref()
-        .expect("async commit mode has a queue");
+        .expect("a fleet with a committer has a commit queue");
     while let Some(shard) =
         queue.pop_blocking(|| shared.stop.load(Ordering::Acquire), PARK_HEARTBEAT)
     {
@@ -479,7 +469,7 @@ fn committer(shared: &Shared) -> u64 {
         // and an epoch that never lands means backlog growing without
         // bound. Queuing on the mutex costs the op thread at most one
         // lock handoff per epoch and buys liveness under any schedule.
-        shared.land(shard);
+        shared.land_sealed(shard);
     }
     0
 }
@@ -518,14 +508,13 @@ mod tests {
         crack_threshold: usize,
         parts: Vec<Vec<Record>>,
         steal: StealConfig,
-        commit: CommitMode,
     ) -> AsyncJitd {
         let rules = Arc::new(paper_rules(&jitd_schema(), RuleConfig { crack_threshold }));
         let shards = parts
             .into_iter()
             .map(|part| Jitd::with_rules(kind, rules.clone(), part))
             .collect();
-        AsyncJitd::spawn(shards, steal, commit)
+        AsyncJitd::spawn(shards, steal)
     }
 
     /// A threaded fleet: `workers` pool threads, every write enqueues.
@@ -539,7 +528,7 @@ mod tests {
             workers,
             heat_threshold: 1,
         };
-        fleet(kind, crack, parts, steal, CommitMode::Sync)
+        fleet(kind, crack, parts, steal)
     }
 
     /// An inline fleet: no threads, the caller drains.
@@ -548,13 +537,7 @@ mod tests {
             workers: 0,
             heat_threshold,
         };
-        fleet(
-            StrategyKind::TreeToaster,
-            crack,
-            parts,
-            steal,
-            CommitMode::Sync,
-        )
+        fleet(StrategyKind::TreeToaster, crack, parts, steal)
     }
 
     fn sexpr(j: &Jitd) -> String {
@@ -790,36 +773,29 @@ mod tests {
 
     #[test]
     fn stop_is_idempotent_with_drop() {
-        // Drop must join the pool cleanly at every size, and an inline
-        // fleet (no threads) drops like any value.
+        // A pool of n workers starts n + 1 threads (the pool plus its
+        // committer), an inline fleet none. Drop must join them cleanly
+        // at every size, and an inline fleet drops like any value.
         for workers in [4, 2, 0] {
-            drop(pool(
-                StrategyKind::Index,
-                32,
-                by_key(records(128), 4),
-                workers,
-            ));
+            let fleet = pool(StrategyKind::Index, 32, by_key(records(128), 4), workers);
+            let expected = if workers == 0 { 0 } else { workers + 1 };
+            assert_eq!(fleet.threads.len(), expected, "{workers} workers");
+            drop(fleet);
         }
     }
 
-    /// An async fleet whose pool thread stays cold (heat threshold never
-    /// crossed): reorganization runs inside the epoch from the test
-    /// thread, so epochs deterministically close mid-backlog with net
-    /// deltas — a pool racing the epoch to quiescence would stage *and*
-    /// cancel every delta, and net-empty epochs never seal. The only
-    /// background apply is the committer's.
-    fn cold_async(n: i64) -> AsyncJitd {
+    /// A threaded fleet whose pool thread stays cold (heat threshold
+    /// never crossed): reorganization runs inside the epoch from the
+    /// test thread, so epochs deterministically close mid-backlog with
+    /// net deltas — a pool racing the epoch to quiescence would stage
+    /// *and* cancel every delta, and net-empty epochs never seal. The
+    /// only background apply is the committer's.
+    fn cold_pool(n: i64) -> AsyncJitd {
         let steal = StealConfig {
             workers: 1,
             heat_threshold: u64::MAX,
         };
-        fleet(
-            StrategyKind::TreeToaster,
-            16,
-            vec![records(n)],
-            steal,
-            CommitMode::Async,
-        )
+        fleet(StrategyKind::TreeToaster, 16, vec![records(n)], steal)
     }
 
     /// One epoch on shard 0: 16 inserts plus one partial reorganization
@@ -840,16 +816,15 @@ mod tests {
         });
     }
 
-    /// The tentpole claim of the commit pipeline: with
-    /// [`CommitMode::Async`], `submit_commit_on` returns before the
-    /// epoch is applied, the background committer lands it, the shard's
-    /// generation publishes, and readers never see a torn epoch (every
-    /// committed write reads back through the shard).
+    /// The tentpole claim of the commit pipeline: at lag 1,
+    /// `submit_commit_on` returns before the epoch is applied, the
+    /// background committer lands it, the shard's generation publishes,
+    /// and readers never see a torn epoch (every committed write reads
+    /// back through the shard).
     #[test]
-    fn async_commit_pipeline_applies_in_background() {
+    fn sealed_epochs_land_in_the_background() {
         let n = 512i64;
-        let jitd = cold_async(n);
-        assert_eq!(jitd.commit_mode(), CommitMode::Async);
+        let jitd = cold_pool(n);
         assert_eq!(jitd.commits_applied(), 0);
         let mut model: BTreeMap<i64, i64> = (0..n).map(|k| (k, k * 5)).collect();
         let mut next_key = n;
@@ -915,7 +890,7 @@ mod tests {
     /// and no shard is left holding a sealed epoch.
     #[test]
     fn drain_commits_lands_inflight_epochs_inline() {
-        let jitd = cold_async(512);
+        let jitd = cold_pool(512);
         let mut model = BTreeMap::new();
         let mut next_key = 512i64;
         let deadline = Instant::now() + Duration::from_secs(60);
@@ -1072,25 +1047,26 @@ mod tests {
         }
     }
 
-    /// Sealing epochs and landing them from `drain_commits` leaves an
-    /// inline fleet in the same state as inline commits, for every
-    /// strategy — and sealed epochs stay visible to reads before they
-    /// land (the commit-equivalence proptest broadens this to random
-    /// interleavings).
+    /// Sealing epochs and landing them from `drain_commits` (lag 1)
+    /// leaves an inline fleet in the same state as landing them at once
+    /// (`commit_on`, lag 0), for every strategy — sealed epochs stay
+    /// visible to reads before they land, and both lags land and count
+    /// the same epochs (the commit-equivalence proptest broadens this to
+    /// random interleavings).
     #[test]
     fn submitted_commits_equal_inline_commits() {
         for kind in StrategyKind::all() {
-            let build = |commit| {
+            let build = || {
                 let steal = StealConfig {
                     workers: 0,
                     heat_threshold: 1,
                 };
-                let fleet = fleet(kind, 8, vec![salted(48, 0), salted(48, 1)], steal, commit);
+                let fleet = fleet(kind, 8, vec![salted(48, 0), salted(48, 1)], steal);
                 fleet.reorganize_pending(u64::MAX);
                 fleet
             };
-            let piped = build(CommitMode::Async);
-            let inline = build(CommitMode::Sync);
+            let piped = build();
+            let inline = build();
             for round in 0..4 {
                 for f in [&piped, &inline] {
                     for shard in 0..2 {
@@ -1103,10 +1079,13 @@ mod tests {
                             },
                         );
                     }
-                    f.reorganize_pending(u64::MAX);
-                    for shard in 0..2 {
-                        f.submit_commit_on(shard);
-                    }
+                    // One capped drain: the epoch closes mid-backlog, so
+                    // it carries net deltas to seal.
+                    f.reorganize_pending(1);
+                }
+                for shard in 0..2 {
+                    piped.submit_commit_on(shard);
+                    inline.commit_on(shard);
                 }
                 // Sealed epochs stay visible to the owning shard: the
                 // two fleets agree even before the deferred apply.
@@ -1122,10 +1101,24 @@ mod tests {
                 }
                 piped.drain_commits();
                 assert!(!piped.commits_pending());
+                assert!(!inline.commits_pending());
             }
+            for f in [&piped, &inline] {
+                assert_eq!(
+                    f.commits_applied(),
+                    f.committed_generation(0) + f.committed_generation(1),
+                    "{}",
+                    kind.label()
+                );
+            }
+            // Naive stages nothing, so it has no epoch to land.
+            let stages = piped.with_shard(0, |j| j.batch_cancellation().is_some());
+            assert_eq!(piped.commits_applied() > 0, stages, "{}", kind.label());
             assert_eq!(
                 piped.commits_applied(),
-                piped.committed_generation(0) + piped.committed_generation(1)
+                inline.commits_applied(),
+                "{}: both lags land the same epochs",
+                kind.label()
             );
             let (mut piped, _) = piped.stop();
             let (inline, _) = inline.stop();
@@ -1150,7 +1143,7 @@ mod tests {
                 heat_threshold: 1,
             };
             let parts = vec![salted(48, 0), salted(48, 1)];
-            let jitd = fleet(kind, 8, parts, steal, CommitMode::Sync);
+            let jitd = fleet(kind, 8, parts, steal);
             jitd.reorganize_pending(u64::MAX);
             // Open epochs on both shards, dirty both, commit only one.
             jitd.begin_batch_on(0);
@@ -1159,10 +1152,10 @@ mod tests {
                 jitd.execute_on(shard, &Op::Update { key: 3, value: 7 });
             }
             jitd.reorganize_pending(u64::MAX);
-            jitd.submit_commit_on(0);
+            jitd.commit_on(0);
             jitd.with_shard(0, |j| j.check_strategy_consistent())
                 .unwrap_or_else(|e| panic!("{} shard 0: {e}", kind.label()));
-            jitd.submit_commit_on(1);
+            jitd.commit_on(1);
             for shard in 0..2 {
                 jitd.with_shard(shard, |j| {
                     j.check_strategy_consistent()

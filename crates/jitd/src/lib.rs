@@ -45,7 +45,7 @@ pub mod runtime;
 pub mod schema;
 pub mod steal;
 
-pub use concurrent::{AsyncJitd, CommitMode};
+pub use concurrent::AsyncJitd;
 pub use index::{JitdIndex, JitdLabels};
 pub use rules::{full_rules, paper_rules, pivot_rules, scaled_rules, RuleConfig};
 pub use runtime::{Jitd, JitdStats, StepOutcome, StrategyKind};

@@ -400,11 +400,15 @@ impl Jitd {
 
     /// Commits the open maintenance epoch, recording the flush in
     /// `stats.commit_ns` (kept separate from the staging-side
-    /// maintenance streams so the two costs can be compared).
-    pub fn commit_batch(&mut self) {
+    /// maintenance streams so the two costs can be compared): the
+    /// pipeline at lag 0, a seal landed at once. Returns `true` if an
+    /// epoch landed.
+    pub fn commit_batch(&mut self) -> bool {
         let t0 = self.clock.now();
-        self.strategy.commit_batch();
+        self.strategy.submit_commit();
+        let landed = self.strategy.apply_submitted();
         self.stats.commit_ns.record(self.clock.since(t0));
+        landed
     }
 
     /// Seals the open maintenance epoch for a background committer

@@ -3,9 +3,9 @@
 //! Every session owns one shard of a shared fleet — its own tree, its
 //! own strategy instance, its own maintenance epochs — while all
 //! sessions share one work-stealing reorganizer pool and one background
-//! committer ([`CommitMode::Async`]): a tenant's `replace` only stages
-//! a delta and occasionally *seals* an epoch (O(1)); the apply runs on
-//! the committer thread, off every tenant's op path.
+//! committer: a tenant's `replace` only stages a delta and occasionally
+//! *seals* an epoch at lag 1 ([`AsyncJitd::submit_commit_on`], O(1));
+//! the apply runs on the committer thread, off every tenant's op path.
 //!
 //! Three policies sit in front of the fleet:
 //!
@@ -19,18 +19,18 @@
 //!   backlog (the next seal applies the stale epoch inline on that
 //!   tenant's thread) — it cannot queue unbounded work or stall anyone
 //!   else.
-//! - **Quiescence on close** — `close` lands the open epoch, drains the
-//!   tree's reorganization backlog to a fixpoint, applies any sealed
-//!   epoch, then recycles the slot as a fresh empty tree.
+//! - **Quiescence on close** — `close` lands the open epoch (and any
+//!   sealed one before it) at lag 0 ([`AsyncJitd::commit_on`]), counted
+//!   like the committer's landings, then drains the tree's
+//!   reorganization backlog to a fixpoint and recycles the slot as a
+//!   fresh empty tree.
 
 use crate::protocol::{ErrorCode, Request, Response, SessionSnapshot};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use treetoaster_core::{FleetConfig, RuleSet};
 use tt_ast::Record;
-use tt_jitd::{
-    jitd_schema, paper_rules, AsyncJitd, CommitMode, Jitd, RuleConfig, StealConfig, StrategyKind,
-};
+use tt_jitd::{jitd_schema, paper_rules, AsyncJitd, Jitd, RuleConfig, StealConfig, StrategyKind};
 use tt_ycsb::Op;
 
 /// Per-slot session state.
@@ -79,7 +79,8 @@ impl Daemon {
 
     /// Builds a daemon: `config.sessions` empty session shards, a
     /// stealing pool of `config.workers` threads gated at
-    /// `config.heat_threshold`, and the asynchronous commit pipeline.
+    /// `config.heat_threshold` (at least one worker), and the pool's
+    /// committer thread.
     pub fn new(kind: StrategyKind, config: FleetConfig) -> Daemon {
         let sessions = config.sessions.max(1);
         let rules = Arc::new(paper_rules(
@@ -96,7 +97,6 @@ impl Daemon {
                 workers: config.workers.max(1),
                 heat_threshold: config.heat_threshold,
             },
-            CommitMode::Async,
         );
         Daemon {
             pool,
@@ -221,8 +221,8 @@ impl Daemon {
         let shard = session as usize;
         self.pool.execute_on(shard, &Op::Update { key, value });
         if seal {
-            // Seal to the committer (O(1) under async commit) and open
-            // the next epoch. If the previous seal has not landed yet,
+            // Seal to the committer (lag 1, O(1)) and open the next
+            // epoch. If the previous seal has not landed yet,
             // the strategy's one-in-flight rule applies it here — on
             // this tenant's thread, which is the backpressure.
             self.pool.submit_commit_on(shard);
@@ -304,14 +304,13 @@ impl Daemon {
     /// Returns the rewrites the session absorbed over its lifetime.
     fn drain_shard(&self, shard: usize) -> u64 {
         let (kind, rules) = (self.kind, &self.rules);
+        // Land the open epoch at lag 0 (this also lands any sealed one:
+        // epochs land in submission order), then drain the rewrite
+        // backlog to a fixpoint. Outside an epoch nothing seals, so no
+        // epoch is left for the committer.
+        self.pool.commit_on(shard);
         self.pool.with_shard(shard, |j| {
-            // Land the open epoch (this also applies any sealed one:
-            // epochs land in submission order), drain the rewrite
-            // backlog to a fixpoint, then sweep once more in case the
-            // committer sealed behind our back.
-            j.commit_batch();
             j.reorganize_until_quiet(u64::MAX);
-            j.apply_submitted();
             let rewrites = j.stats.steps;
             *j = Jitd::with_rules(kind, rules.clone(), Vec::new());
             rewrites
@@ -403,5 +402,63 @@ mod tests {
             Response::Found { value: Some(7) }
         );
         assert_eq!(daemon.drain().sessions_closed, 2);
+    }
+
+    /// Both lags land through the fleet and are counted: the epoch that
+    /// crosses `MAX_EPOCH_OPS` seals to the committer (lag 1), and
+    /// `close` lands the open one at lag 0.
+    #[test]
+    fn close_lands_its_epoch_through_the_fleet() {
+        // A cold pool: the worker never reorganizes, so each epoch's
+        // view deltas come from the ticks below and stay staged until
+        // the epoch seals: both epochs seal a payload.
+        let daemon = Daemon::new(
+            StrategyKind::TreeToaster,
+            FleetConfig::default()
+                .engine(treetoaster_core::EngineConfig::default().crack_threshold(16))
+                .sessions(2)
+                .workers(1)
+                .heat_threshold(u64::MAX),
+        );
+        let Response::Opened { session } = daemon.handle(&Request::Open {
+            records: 64,
+            seed: 1,
+        }) else {
+            panic!("open refused");
+        };
+        let shard = session as usize;
+        assert!(matches!(
+            daemon.handle(&Request::Tick { session, rounds: 1 }),
+            Response::Ticked { rewrites: 1.. }
+        ));
+        for j in 0..(Daemon::MAX_EPOCH_OPS + 6) as i64 {
+            let r = daemon.handle(&Request::Replace {
+                session,
+                key: j % 64,
+                value: j,
+            });
+            assert_eq!(r, Response::Replaced);
+        }
+        assert!(matches!(
+            daemon.handle(&Request::Tick { session, rounds: 1 }),
+            Response::Ticked { rewrites: 1.. }
+        ));
+        let pool = daemon.pool();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while pool.committed_generation(shard) < 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the committer never landed the sealed epoch"
+            );
+            std::thread::sleep(std::time::Duration::from_micros(100));
+        }
+        assert_eq!(pool.committed_generation(shard), 1);
+        assert!(matches!(
+            daemon.handle(&Request::Close { session }),
+            Response::Closed { .. }
+        ));
+        let generations: u64 = (0..2).map(|s| pool.committed_generation(s)).sum();
+        assert_eq!(pool.commits_applied(), generations);
+        assert_eq!(pool.commits_applied(), 2, "close lands its epoch at lag 0");
     }
 }

@@ -43,7 +43,7 @@
 //! use treetoaster::prelude::*;
 //! use treetoaster::pattern::dsl;
 //! use treetoaster::core::generator;
-//! use treetoaster::jitd::{jitd_schema, paper_rules, CommitMode, StealConfig};
+//! use treetoaster::jitd::{jitd_schema, paper_rules, StealConfig};
 //!
 //! // Eliminate additions of zero.
 //! let schema = treetoaster::ast::schema::arith_schema();
@@ -77,7 +77,7 @@
 //! // queue inline (a pool of `workers > 0` threads drains the same
 //! // queue in the background).
 //! let steal = StealConfig { workers: 0, heat_threshold: 1 };
-//! let fleet = AsyncJitd::spawn(plans, steal, CommitMode::Sync);
+//! let fleet = AsyncJitd::spawn(plans, steal);
 //! assert_eq!(fleet.reorg_backlog(), 3, "freshly loaded plans want cracking");
 //! assert!(fleet.reorganize_pending(u64::MAX) > 0);
 //! // A write heats only its own plan, so only that plan is queued.

@@ -1,21 +1,21 @@
 //! The commit-pipeline transparency contract: sealing an epoch for a
 //! committer must be *semantically invisible*.
 //!
-//! The pipelined commit splits `commit_batch` into a seal
-//! ([`AsyncJitd::submit_commit_on`] under [`CommitMode::Async`]) on the
-//! op path and a deferred apply ([`AsyncJitd::drain_commits`]) on the
-//! committer's schedule. Readers in between are served by the overlay
-//! (`view ⊕ sealed ⊕ pending`), and the strategy's one-epoch-in-flight
-//! backpressure guarantees sealed epochs land in order. This suite
-//! drives the same fleet op stream through two inline fleets
-//! (`workers: 0` — no committer thread, so the caller decides exactly
-//! when seals land):
+//! An epoch closes through one pipeline, a seal and a landing, and the
+//! caller picks the lag per call: [`AsyncJitd::commit_on`] lands the
+//! seal at once (lag 0), while [`AsyncJitd::submit_commit_on`] only
+//! seals on the op path and leaves the landing
+//! ([`AsyncJitd::drain_commits`]) to the committer's schedule (lag 1).
+//! Readers in between are served by the overlay (`view ⊕ sealed ⊕
+//! pending`), and the strategy's one-epoch-in-flight backpressure
+//! guarantees sealed epochs land in order. This suite drives the same
+//! fleet op stream through two inline fleets (`workers: 0` — no
+//! committer thread, so the caller decides exactly when seals land):
 //!
-//! - **inline**: every epoch closes with an inline commit
-//!   ([`CommitMode::Sync`], the classic synchronous path);
-//! - **piped**: every epoch closes with a seal, and the sealed epoch is
-//!   applied one epoch *later* — after the next epoch's operations and
-//!   rewrites have already run against the overlay.
+//! - **inline**: every epoch closes at lag 0;
+//! - **piped**: every epoch closes at lag 1, and the sealed epoch lands
+//!   one epoch *later* — after the next epoch's operations and rewrites
+//!   have already run against the overlay.
 //!
 //! The two runs must agree structurally: identical per-tree
 //! s-expressions, identical reads, identical rewrite counts. Any
@@ -24,12 +24,12 @@
 //!
 //! The threaded half of the contract (an actual committer thread
 //! overlapping the op stream) is anchored by
-//! `async_committer_overlaps_the_op_stream` below.
+//! `background_committer_overlaps_the_op_stream` below.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use treetoaster::ast::Record;
-use treetoaster::jitd::{jitd_schema, paper_rules, CommitMode, StealConfig};
+use treetoaster::jitd::{jitd_schema, paper_rules, StealConfig};
 use treetoaster::prelude::{AsyncJitd, Jitd, RuleConfig, StrategyKind};
 use treetoaster::ycsb::{FleetSpec, FleetWorkload, Op};
 
@@ -42,12 +42,7 @@ fn preload(t: usize) -> Vec<Record> {
 }
 
 /// A fleet of `parts.len()` shards over one rule set.
-fn fleet(
-    strategy: StrategyKind,
-    parts: Vec<Vec<Record>>,
-    workers: usize,
-    commit: CommitMode,
-) -> AsyncJitd {
+fn fleet(strategy: StrategyKind, parts: Vec<Vec<Record>>, workers: usize) -> AsyncJitd {
     let rules = Arc::new(paper_rules(
         &jitd_schema(),
         RuleConfig { crack_threshold: 8 },
@@ -62,14 +57,14 @@ fn fleet(
         workers,
         heat_threshold: u64::MAX,
     };
-    AsyncJitd::spawn(shards, steal, commit)
+    AsyncJitd::spawn(shards, steal)
 }
 
 /// Runs `ops` operations of fleet workload `family` in `epoch`-op
 /// epochs on an inline fleet. `piped` seals each epoch and defers the
 /// apply until after the *next* epoch has run (final epochs drain at the
-/// end); otherwise each epoch closes with an inline commit. Returns the
-/// fleet, drained and cracked.
+/// end); otherwise each epoch closes at lag 0. Returns the fleet,
+/// drained and cracked.
 fn run(
     strategy: StrategyKind,
     family: char,
@@ -79,12 +74,7 @@ fn run(
     epoch: usize,
     piped: bool,
 ) -> AsyncJitd {
-    let commit = if piped {
-        CommitMode::Async
-    } else {
-        CommitMode::Sync
-    };
-    let fleet = fleet(strategy, (0..trees).map(preload).collect(), 0, commit);
+    let fleet = fleet(strategy, (0..trees).map(preload).collect(), 0);
     for t in 0..trees {
         fleet.with_shard(t, |j| j.reorganize_until_quiet(u64::MAX));
     }
@@ -122,7 +112,11 @@ fn run(
             fleet.with_shard(t, |j| j.reorganize_round());
         }
         for t in 0..trees {
-            fleet.submit_commit_on(t);
+            if piped {
+                fleet.submit_commit_on(t);
+            } else {
+                fleet.commit_on(t);
+            }
         }
         done += n;
     }
@@ -184,6 +178,7 @@ proptest! {
         let inline = run(strategy, family, trees, seed, 72, epoch, false);
         let piped = run(strategy, family, trees, seed, 72, epoch, true);
         assert_structurally_equal(&inline, &piped);
+        prop_assert_eq!(inline.commits_applied(), piped.commits_applied());
         check_consistent(&inline);
         check_consistent(&piped);
     }
@@ -192,20 +187,27 @@ proptest! {
 /// Fixed-seed anchor (always runs, easy to bisect): the skewed fleet
 /// workload with 8-op epochs must produce identical fleets *and* the
 /// piped run must actually defer applies — every seal lands through the
-/// caller's drain, advancing per-tree generations.
+/// caller's drain, advancing per-tree generations. Both lags land, and
+/// count, the same epochs.
 #[test]
 fn pipelined_anchor_defers_applies_and_stays_equal() {
     let trees = 4;
     let inline = run(StrategyKind::TreeToaster, 'I', trees, 77, 144, 8, false);
     let piped = run(StrategyKind::TreeToaster, 'I', trees, 77, 144, 8, true);
     assert_structurally_equal(&inline, &piped);
-    let landed: u64 = (0..trees).map(|t| piped.committed_generation(t)).sum();
+    for fleet in [&inline, &piped] {
+        let landed: u64 = (0..trees).map(|t| fleet.committed_generation(t)).sum();
+        assert_eq!(landed, fleet.commits_applied());
+    }
     assert!(
-        landed > 0,
+        piped.commits_applied() > 0,
         "the piped run never landed an epoch through the commit queue"
     );
-    assert_eq!(landed, piped.commits_applied());
-    assert_eq!(inline.commits_applied(), 0, "inline commits seal nothing");
+    assert_eq!(
+        inline.commits_applied(),
+        piped.commits_applied(),
+        "lag 0 and lag 1 land the same epochs"
+    );
     for fleet in [&inline, &piped] {
         for t in 0..trees {
             fleet.with_shard(t, |j| {
@@ -221,7 +223,7 @@ fn pipelined_anchor_defers_applies_and_stays_equal() {
 /// operations instead of serializing behind them — and readers never
 /// observe a torn epoch.
 #[test]
-fn async_committer_overlaps_the_op_stream() {
+fn background_committer_overlaps_the_op_stream() {
     let n = 256i64;
     // The pool thread exists but its heat threshold keeps it cold:
     // reorganization runs *inside* the epoch from this thread, so each
@@ -232,7 +234,6 @@ fn async_committer_overlaps_the_op_stream() {
         StrategyKind::TreeToaster,
         vec![(0..n).map(|k| Record::new(k, k * 7)).collect()],
         1,
-        CommitMode::Async,
     );
     let mut next_key = n;
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);

@@ -18,7 +18,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use treetoaster::ast::Record;
-use treetoaster::jitd::{jitd_schema, paper_rules, CommitMode, StealConfig};
+use treetoaster::jitd::{jitd_schema, paper_rules, StealConfig};
 use treetoaster::prelude::{AsyncJitd, Jitd, Op, RuleConfig, StrategyKind};
 use treetoaster::ycsb::{FleetSpec, FleetWorkload};
 
@@ -55,7 +55,7 @@ fn run_fleet(
         workers: 0,
         heat_threshold: 1,
     };
-    let fleet = AsyncJitd::spawn(shards, steal, CommitMode::Sync);
+    let fleet = AsyncJitd::spawn(shards, steal);
     let mut driver = FleetWorkload::new(
         FleetSpec::standard(family, trees),
         RECORDS_PER_TREE as u64,
@@ -87,7 +87,7 @@ fn run_fleet(
         fleet.reorganize_pending(u64::MAX);
         assert_eq!(fleet.reorg_backlog(), 0, "inline drain left a backlog");
         for &t in &touched {
-            fleet.submit_commit_on(t);
+            fleet.commit_on(t);
         }
         done += chunk;
     }

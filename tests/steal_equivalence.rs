@@ -23,7 +23,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use treetoaster::ast::Record;
-use treetoaster::jitd::{jitd_schema, paper_rules, CommitMode, StealConfig};
+use treetoaster::jitd::{jitd_schema, paper_rules, StealConfig};
 use treetoaster::prelude::{AsyncJitd, Jitd, RuleConfig, StrategyKind};
 use treetoaster::ycsb::{FleetSpec, FleetWorkload};
 
@@ -49,7 +49,7 @@ fn new_fleet(strategy: StrategyKind, trees: usize) -> AsyncJitd {
         workers: 0,
         heat_threshold: 1,
     };
-    let fleet = AsyncJitd::spawn(shards, steal, CommitMode::Sync);
+    let fleet = AsyncJitd::spawn(shards, steal);
     fleet.reorganize_pending(u64::MAX);
     fleet
 }

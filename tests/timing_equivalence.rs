@@ -29,7 +29,9 @@ fn run_script(jitd: &mut Jitd) {
             jitd.reorganize_round();
         }
         match epoch % 3 {
-            0 => jitd.commit_batch(),
+            0 => {
+                jitd.commit_batch();
+            }
             1 => {
                 jitd.submit_commit();
                 jitd.apply_submitted();
